@@ -4,10 +4,10 @@ from .basis import PolyBasis, build_poly_basis
 from .depcoeff import (ConditionalAtomSet, b0_exact, b0_staircase_scan,
                        beta1_estimate, beta2_pair_lower_bound, conditional_atoms)
 from .errors import (BetadensError, CapacityError, ConfigError, DegenerateSample,
-                     DomainError, EmptyEstimate, UnsupportedDegree)
+                     DomainError, EmptyEstimate, TrialError, UnsupportedDegree)
 from .estimators import (DensityEstimate, KernelDensity, PiecewisePolyDensity,
                          estimate_mass, evaluate, histogram_estimate,
-                         kernel_estimate, projection_constants, projection_estimate)
+                         kernel_estimate, projection_estimate)
 from .kernels import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR, KernelSpec,
                       kernel_by_name, silverman_bandwidth)
 from .normal import norm_cdf, norm_pdf, norm_ppf
@@ -17,11 +17,9 @@ from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, Sample,
                         piecewise_quantile_transform)
 from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec,
                    ReferenceDensity, RiskReport, binning_bias, build_estimate,
-                   envelope_check, equivalent_lsv, gaussian, loglog_slope,
-                   lp_distance, monte_carlo_risk, step_density, two_level,
-                   uniform01)
-from .schedules import (RateRegime, equivalent_density, equivalent_density_cdf,
-                        equivalent_density_quantile, histogram_bins_bv,
+                   envelope_check, gaussian, loglog_slope, lp_distance,
+                   monte_carlo_risk, step_density, two_level, uniform01)
+from .schedules import (RateRegime, equivalent_density, histogram_bins_bv,
                         histogram_bins_lsv, kernel_bandwidth, lsv_rate_exponent)
 
 __version__ = "0.1.0"

@@ -30,11 +30,9 @@ def _legendre_values(r: int, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolyBasis:
-    """Orthonormal polynomials Q_1..Q_{r+1} on [0, 1] with their norms."""
+    """Orthonormal polynomials Q_1..Q_{r+1} on [0, 1]."""
 
     degree: int
-    sup_norms: np.ndarray       # ||R_i||_inf = sqrt(2i - 1)
-    tv_norms: np.ndarray        # ||dR_i|| incl. the jumps of R_i at 0 and 1
 
     def eval_all(self, t) -> np.ndarray:
         """Values of all Q_i at points t in [0, 1], shape (r+1, len(t))."""
@@ -43,25 +41,6 @@ class PolyBasis:
         scale = np.sqrt(2.0 * np.arange(self.degree + 1) + 1.0)
         return vals * scale[:, None]
 
-    def eval_one(self, i: int, t) -> np.ndarray:
-        """Q_i (1-based, like the subscripts in the docstrings) at t."""
-        return self.eval_all(t)[i - 1]
-
-
-def _tv_on_unit_interval(i: int) -> float:
-    # total variation of R_i = Q_i restricted to (0, 1]: variation of the
-    # polynomial between its interior critical points plus the jumps from 0
-    # at both endpoints
-    coef = np.zeros(i + 1)
-    coef[i] = 1.0
-    poly = np.polynomial.legendre.Legendre(coef, domain=[0.0, 1.0])
-    crit = [r.real for r in poly.deriv().roots()
-            if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0]
-    knots = np.array(sorted([0.0, *crit, 1.0]))
-    vals = poly(knots) * np.sqrt(2.0 * i + 1.0)
-    interior = float(np.abs(np.diff(vals)).sum())
-    return interior + abs(vals[0]) + abs(vals[-1])
-
 
 def build_poly_basis(r: int) -> PolyBasis:
     """Shifted-Legendre orthonormal basis of polynomials of degree <= r."""
@@ -69,9 +48,4 @@ def build_poly_basis(r: int) -> PolyBasis:
         raise UnsupportedDegree(f"degree must be non-negative, got {r}")
     if r > MAX_DEGREE:
         raise UnsupportedDegree(f"degree {r} exceeds the implementation bound {MAX_DEGREE}")
-    idx = np.arange(r + 1)
-    sup = np.sqrt(2.0 * idx + 1.0)
-    tv = np.array([_tv_on_unit_interval(i) for i in idx])
-    sup.flags.writeable = False
-    tv.flags.writeable = False
-    return PolyBasis(degree=r, sup_norms=sup, tv_norms=tv)
+    return PolyBasis(degree=r)

@@ -7,48 +7,32 @@ missing required keys, so a config names everything the run depends on.
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
-EXPERIMENTS = (
-    "kernel-gaussian-figure",
-    "histogram-two-level-figure",
-    "risk-table-sweep",
-    "risk-slope-plot",
-    "lsv-histogram-figure",
-    "coefficient-report",
-)
-
-_INT_KEYS = {"n", "trials", "master_seed", "m", "degree", "threads",
-             "grid_points", "k_max", "quad_nodes", "burn_in"}
-_FLOAT_KEYS = {"p", "gamma", "mu", "sigma2", "bins_constant"}
-_BOOL_KEYS = {"loglog"}
-_STR_KEYS = {"experiment", "kernel", "bandwidth", "out_dir", "n_grid"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
-
-_REQUIRED = {
-    "kernel-gaussian-figure": {"n", "mu", "sigma2"},
-    "histogram-two-level-figure": {"n"},
-    "risk-table-sweep": {"n_grid", "trials"},
-    "risk-slope-plot": {"n_grid", "trials"},
-    "lsv-histogram-figure": {"n", "gamma"},
-    "coefficient-report": {"k_max"},
+# experiment -> (required keys, optional keys); `experiment` itself is implied
+_SCHEMA = {
+    "kernel-gaussian-figure": ({"n", "mu", "sigma2"},
+                               {"kernel", "bandwidth", "master_seed", "grid_points",
+                                "out_dir", "burn_in"}),
+    "histogram-two-level-figure": ({"n"},
+                                   {"m", "bins_constant", "master_seed", "out_dir",
+                                    "burn_in"}),
+    "risk-table-sweep": ({"n_grid", "trials"},
+                         {"p", "bins_constant", "master_seed", "threads", "out_dir",
+                          "burn_in"}),
+    "risk-slope-plot": ({"n_grid", "trials"},
+                        {"p", "bins_constant", "master_seed", "threads", "out_dir",
+                         "loglog", "burn_in"}),
+    "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "out_dir", "burn_in"}),
+    "coefficient-report": ({"k_max"}, {"quad_nodes", "out_dir"}),
 }
 
-_OPTIONAL = {
-    "kernel-gaussian-figure": {"kernel", "bandwidth", "master_seed", "grid_points",
-                               "out_dir", "burn_in"},
-    "histogram-two-level-figure": {"m", "bins_constant", "master_seed", "out_dir",
-                                   "burn_in"},
-    "risk-table-sweep": {"p", "bins_constant", "master_seed", "threads", "out_dir",
-                         "burn_in"},
-    "risk-slope-plot": {"p", "bins_constant", "master_seed", "threads", "out_dir",
-                        "loglog", "burn_in"},
-    "lsv-histogram-figure": {"m", "master_seed", "out_dir", "burn_in"},
-    "coefficient-report": {"quad_nodes", "out_dir"},
-}
+EXPERIMENTS = tuple(_SCHEMA)
 
 
 @dataclass
@@ -66,7 +50,6 @@ class ExperimentConfig:
     bandwidth: str = "silverman"       # "silverman" or a float literal
     m: int | None = None
     bins_constant: float = 1.0
-    degree: int = 0
     threads: int = 1
     grid_points: int = 512
     k_max: int = 20
@@ -90,20 +73,25 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse n_grid value {text!r}") from None
 
 
+def _value_type(hint):
+    """The type a key's text converts to: X for a field annotated `X | None`."""
+    if isinstance(hint, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return hint
+
+
+_KEY_TYPES = {key: _value_type(hint)
+          for key, hint in typing.get_type_hints(ExperimentConfig).items()}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _convert(key: str, raw: str):
+    if key == "n_grid":
+        return parse_n_grid(raw)
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
-        return raw
-    except ValueError:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
 
@@ -117,7 +105,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}")
@@ -129,21 +117,17 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; have {EXPERIMENTS}")
 
-    allowed = {"experiment"} | _REQUIRED[experiment] | _OPTIONAL[experiment]
+    required, optional = _SCHEMA[experiment]
     for key in pairs:
-        if key not in allowed:
+        if key not in {"experiment"} | required | optional:
             raise ConfigError(f"key {key!r} does not belong to experiment {experiment!r}")
-    missing = _REQUIRED[experiment] - set(pairs)
+    missing = required - set(pairs)
     if missing:
         raise ConfigError(f"experiment {experiment!r} is missing keys {sorted(missing)}")
 
     config = ExperimentConfig(experiment=experiment)
     for key, raw in pairs.items():
-        if key == "experiment":
-            continue
-        if key == "n_grid":
-            config.n_grid = parse_n_grid(raw)
-        else:
+        if key != "experiment":
             setattr(config, key, _convert(key, raw))
     _validate(config)
     return config
@@ -159,6 +143,8 @@ def _validate(config: ExperimentConfig) -> None:
             ) from None
     if config.gamma is not None and not 0.0 < config.gamma < 1.0:
         raise ConfigError(f"gamma must lie in (0, 1), got {config.gamma}")
+    if not config.p >= 1.0:
+        raise ConfigError(f"p must be >= 1, got {config.p}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.threads < 1:
@@ -173,7 +159,8 @@ def load_config(path) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical, re-parseable text form (only keys that matter are kept)."""
-    keep = {"experiment"} | _REQUIRED[config.experiment] | _OPTIONAL[config.experiment]
+    required, optional = _SCHEMA[config.experiment]
+    keep = {"experiment"} | required | optional
     lines = []
     for f in fields(config):
         if f.name not in keep:

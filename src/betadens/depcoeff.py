@@ -90,6 +90,22 @@ def beta1_estimate(k: int, quad_nodes: int = 64) -> float:
     return total
 
 
+def _pair_sum(x0: float, i: int, j: int, grid: int) -> np.ndarray:
+    """Sum over the 2^i innovation paths from X_0 = x0 of
+    (1{X_i <= t} - t)(1{X_j <= s} - s) on the grid x grid midpoint lattice.
+
+    X_j reuses the first j bits of X_i's path.
+    """
+    paths = np.arange(2**i, dtype=float)
+    x_i = (x0 + paths) * 2.0**-i
+    x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
+    s = (np.arange(grid) + 0.5) / grid
+    t = s
+    a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
+    b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
+    return a @ b.T
+
+
 def b0_pair_grid_lower_bound(x0: float, i: int, j: int, grid: int = 256) -> float:
     """Grid LOWER bound of the two-index coefficient b_0(i, j) at x0.
 
@@ -100,14 +116,7 @@ def b0_pair_grid_lower_bound(x0: float, i: int, j: int, grid: int = 256) -> floa
     if not i > j >= 1:
         raise DomainError(f"need i > j >= 1, got ({i}, {j})")
     _check_args(x0, i, 16)
-    paths = np.arange(2**i, dtype=float)
-    x_i = (x0 + paths) * 2.0**-i
-    x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
-    s = (np.arange(grid) + 0.5) / grid
-    t = s
-    a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
-    b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
-    conditional = (a @ b.T) / len(paths)
+    conditional = _pair_sum(x0, i, j, grid) / 2**i
     unconditional = _pair_functional_stationary(i, j, grid)
     return float(np.abs(conditional - unconditional).max())
 
@@ -118,16 +127,9 @@ def _pair_functional_stationary(i: int, j: int, grid: int,
     u, wu = gauss_legendre(x0_nodes)
     x0s = 0.5 * (u + 1.0)
     w = 0.5 * wu
-    paths = np.arange(2**i, dtype=float)
-    s = (np.arange(grid) + 0.5) / grid
-    t = s
     acc = np.zeros((grid, grid))
     for x0, weight in zip(x0s, w):
-        x_i = (x0 + paths) * 2.0**-i
-        x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
-        a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
-        b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
-        acc += weight * (a @ b.T) / len(paths)
+        acc += weight * _pair_sum(x0, i, j, grid) / 2**i
     return acc
 
 
@@ -138,15 +140,8 @@ def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
     x0s = 0.5 * (u + 1.0)
     w = 0.5 * wu
     unconditional = _pair_functional_stationary(i, j, grid, x0_nodes)
-    paths = np.arange(2**i, dtype=float)
-    s = (np.arange(grid) + 0.5) / grid
-    t = s
     total = 0.0
     for x0, weight in zip(x0s, w):
-        x_i = (x0 + paths) * 2.0**-i
-        x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
-        a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
-        b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
-        conditional = (a @ b.T) / len(paths)
+        conditional = _pair_sum(x0, i, j, grid) / 2**i
         total += weight * float(np.abs(conditional - unconditional).max())
     return total

@@ -27,3 +27,7 @@ class EmptyEstimate(BetadensError, ValueError):
 
 class ConfigError(BetadensError, ValueError):
     """An experiment configuration failed to parse or validate."""
+
+
+class TrialError(BetadensError, RuntimeError):
+    """A Monte Carlo trial failed; the message names the trial and its seed."""

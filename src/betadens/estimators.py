@@ -161,9 +161,11 @@ def evaluate(estimate: DensityEstimate, x):
 def estimate_mass(estimate: DensityEstimate) -> float:
     """Integral of the estimate over its support.
 
-    Exact for both variants: histogram/projection mass is a finite sum of
-    exact bin integrals, and a kernel estimate is polynomial between
-    consecutive kinks, where moderate Gauss-Legendre panels are exact.
+    Histogram/projection mass is a finite sum of exact bin integrals.  A
+    kernel estimate is polynomial between consecutive kinks, where moderate
+    Gauss-Legendre panels are exact, up to 4096 kinks (n <= 2048 sample
+    values); beyond that the panels are spread evenly over the support, off
+    the kinks, and the mass is a quadrature approximation.
     """
     if isinstance(estimate, PiecewisePolyDensity):
         # only the constant component carries mass: int_0^1 Q_i = 0 for i >= 2
@@ -177,15 +179,3 @@ def estimate_mass(estimate: DensityEstimate) -> float:
     x, w = panel_nodes(edges, 16)
     return float(np.dot(w, estimate.evaluate(x)))
 
-
-def projection_constants(basis: PolyBasis, p: float) -> tuple[float, float]:
-    """Variance/correction constants of the projection risk bounds.
-
-    Computed from the chosen basis normalization:
-    first constant  sum_i ||R_i||_inf^{3p/2} ||dR_i||^{p/2},
-    second constant sum_i ||R_i||_inf^{p+1}  ||dR_i||^{p-1}.
-    """
-    sup, tv = basis.sup_norms, basis.tv_norms
-    c1 = float(np.sum(sup ** (1.5 * p) * tv ** (0.5 * p)))
-    c2 = float(np.sum(sup ** (p + 1.0) * tv ** (p - 1.0)))
-    return c1, c2

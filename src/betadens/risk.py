@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, EmptyEstimate
-from .estimators import (PiecewisePolyDensity, histogram_estimate,
-                         kernel_estimate, projection_estimate)
+from .errors import DomainError, EmptyEstimate, TrialError
+from .estimators import PiecewisePolyDensity, histogram_estimate, kernel_estimate
 from .basis import build_poly_basis
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import ProcessSpec, Sample, generate
@@ -35,7 +34,6 @@ class ReferenceDensity:
     kind: str
     mu: float | None = None
     sigma2: float | None = None
-    gamma: float | None = None
     support: tuple[float, float] = (0.0, 1.0)
     breaks: tuple[float, ...] | None = None
     values: tuple[float, ...] | None = None
@@ -52,11 +50,6 @@ class ReferenceDensity:
             sigma = math.sqrt(self.sigma2)
             z = (x - self.mu) / sigma
             return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-        if self.kind == "equivalent-lsv":
-            inside = (x > 0.0) & (x <= 1.0)
-            out = np.zeros_like(x)
-            out[inside] = (1.0 - self.gamma) * x[inside] ** (-self.gamma)
-            return out
         if self.kind == "step":
             breaks = np.asarray(self.breaks)
             idx = np.searchsorted(breaks, x, side="left") - 1
@@ -98,12 +91,6 @@ def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
     # mass outside a six-sigma window is below 1e-8, the quadrature budget
     return ReferenceDensity(kind="gaussian", mu=mu, sigma2=sigma2,
                             support=(mu - 6.0 * sigma, mu + 6.0 * sigma))
-
-
-def equivalent_lsv(gamma: float) -> ReferenceDensity:
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    return ReferenceDensity(kind="equivalent-lsv", gamma=gamma, support=(0.0, 1.0))
 
 
 def step_density(breaks, values) -> ReferenceDensity:
@@ -218,14 +205,13 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Histogram (or higher-degree projection) estimator configuration.
+    """Histogram estimator configuration.
 
     With m unset, the bin count follows the BV schedule floor(C n^(1/3)).
     """
 
     m: int | None = None
     bins_constant: float = 1.0
-    degree: int = 0
 
 
 @dataclass(frozen=True)
@@ -243,9 +229,7 @@ def build_estimate(sample: Sample, config: EstimatorSpec):
     n = len(sample)
     if isinstance(config, HistogramSpec):
         m = config.m if config.m is not None else histogram_bins_bv(n, config.bins_constant)
-        if config.degree == 0:
-            return histogram_estimate(sample, m)
-        return projection_estimate(sample, m, build_poly_basis(config.degree))
+        return histogram_estimate(sample, m)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
         h = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(sample)
@@ -260,7 +244,8 @@ def _trial_risk(task) -> float:
         estimate = build_estimate(sample, est_cfg)
         return lp_distance(estimate, reference, p)
     except Exception as exc:
-        raise RuntimeError(f"Monte Carlo trial {trial} failed: {exc}") from exc
+        raise TrialError(
+            f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
 
 
 def monte_carlo_risk(process: ProcessSpec, estimator: EstimatorSpec,

@@ -72,32 +72,36 @@ def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
-    spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
-                       seed=config.master_seed, burn_in=config.burn_in)
-    sample = generate(spec)
-    m = config.m if config.m is not None else histogram_bins_bv(config.n, config.bins_constant)
+def _histogram_figure(out: Path, stem: str, sample, m: int, column: str,
+                      density, title: str, overlay_x, overlay_y) -> list[Path]:
+    """Histogram of `sample` on m bins: CSV rows with `density` at each bin
+    midpoint, and an SVG of the bars under the overlay curve."""
     estimate = histogram_estimate(sample, m)
     heights = estimate.bin_values()
     edges = estimate.breakpoints()
-    ref = two_level()
-    mids = (edges[:-1] + edges[1:]) / 2.0
-
-    stem = f"histogram_two_level_n{config.n}"
+    at_mid = density((edges[:-1] + edges[1:]) / 2.0)
     csv_path = emit_csv(out / f"{stem}.csv",
-                        ["bin", "left", "right", "height", "true_density_at_mid"],
+                        ["bin", "left", "right", "height", column],
                         [(j + 1, float(edges[j]), float(edges[j + 1]),
-                          float(heights[j]), float(ref.pdf(mids[j])[0]))
-                         for j in range(m)])
-    fig = SvgFigure(title=f"histogram, two-level density, n={config.n}, m={m}",
-                    xlabel="x", ylabel="density")
-    fig.set_limits((0.0, 1.0), (0.0, 1.1 * max(float(heights.max()), 1.5)))
+                          float(heights[j]), float(at_mid[j])) for j in range(m)])
+    fig = SvgFigure(title=title, xlabel="x", ylabel="density")
+    fig.set_limits((0.0, 1.0), (0.0, 1.1 * max(float(heights.max()),
+                                               float(overlay_y.max()))))
     fig.add_bars(edges, heights)
-    overlay = np.array([0.0, 0.25, 0.25, 0.75, 0.75, 1.0])
-    fig.add_curve(overlay, np.array([0.5, 0.5, 1.5, 1.5, 0.5, 0.5]),
-                  stroke="#cc0000", width=1.6)
-    svg_path = fig.save(out / f"{stem}.svg")
-    return [csv_path, svg_path]
+    fig.add_curve(overlay_x, overlay_y, stroke="#cc0000", width=1.6)
+    return [csv_path, fig.save(out / f"{stem}.svg")]
+
+
+def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
+    spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
+                       seed=config.master_seed, burn_in=config.burn_in)
+    m = config.m if config.m is not None else histogram_bins_bv(config.n, config.bins_constant)
+    return _histogram_figure(
+        out, f"histogram_two_level_n{config.n}", generate(spec), m,
+        "true_density_at_mid", two_level().pdf,
+        f"histogram, two-level density, n={config.n}, m={m}",
+        np.array([0.0, 0.25, 0.25, 0.75, 0.75, 1.0]),
+        np.array([0.5, 0.5, 1.5, 1.5, 0.5, 0.5]))
 
 
 def _risk_sweep_rows(config: ExperimentConfig):
@@ -158,30 +162,16 @@ def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in,
                        gamma=config.gamma)
-    sample = generate(spec)
     m = config.m if config.m is not None else histogram_bins_lsv(config.n, config.gamma)
-    estimate = histogram_estimate(sample, m)
-    heights = estimate.bin_values()
-    edges = estimate.breakpoints()
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    equiv = equivalent_density(mids, config.gamma)
-
     gamma_tag = f"{config.gamma}".replace(".", "p")
-    stem = f"lsv_histogram_gamma{gamma_tag}_n{config.n}"
-    csv_path = emit_csv(out / f"{stem}.csv",
-                        ["bin", "left", "right", "height", "equivalent_density_at_mid"],
-                        [(j + 1, float(edges[j]), float(edges[j + 1]),
-                          float(heights[j]), float(equiv[j])) for j in range(m)])
-    fig = SvgFigure(title=f"invariant density, gamma={config.gamma}, n={config.n}, m={m}",
-                    xlabel="x", ylabel="density")
-    top = 1.1 * max(float(heights.max()), float(equiv.max()))
-    fig.set_limits((0.0, 1.0), (0.0, top))
-    fig.add_bars(edges, heights)
+    # starting at the first bin's midpoint, the curve peaks where the
+    # midpoint column does, so it sets the same y range
     curve_x = np.linspace(1.0 / (2.0 * m), 1.0, 512)
-    fig.add_curve(curve_x, equivalent_density(curve_x, config.gamma),
-                  stroke="#cc0000", width=1.6)
-    svg_path = fig.save(out / f"{stem}.svg")
-    return [csv_path, svg_path]
+    return _histogram_figure(
+        out, f"lsv_histogram_gamma{gamma_tag}_n{config.n}", generate(spec), m,
+        "equivalent_density_at_mid", lambda x: equivalent_density(x, config.gamma),
+        f"invariant density, gamma={config.gamma}, n={config.n}, m={m}",
+        curve_x, equivalent_density(curve_x, config.gamma))
 
 
 def _coefficient_report(config: ExperimentConfig, out: Path) -> list[Path]:

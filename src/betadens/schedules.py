@@ -96,24 +96,3 @@ def equivalent_density(x, gamma: float):
     out = (1.0 - gamma) * arr ** (-gamma)
     return float(out) if np.isscalar(x) else out
 
-
-def equivalent_density_cdf(x, gamma: float):
-    """F_gamma(x) = x^(1 - gamma) on [0, 1]."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("CDF argument must lie in [0, 1]")
-    out = arr ** (1.0 - gamma)
-    return float(out) if np.isscalar(x) else out
-
-
-def equivalent_density_quantile(u, gamma: float):
-    """Inverse CDF u^(1/(1 - gamma)); iid sampling hook for f_gamma."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma}")
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("quantile argument must lie in [0, 1]")
-    out = arr ** (1.0 / (1.0 - gamma))
-    return float(out) if np.isscalar(u) else out

@@ -37,21 +37,21 @@ def test_degree_zero_is_normalized_constant():
 def test_first_polynomials_closed_form():
     b = build_poly_basis(2)
     t = np.linspace(0.0, 1.0, 101)
-    assert np.allclose(b.eval_one(1, t), np.ones_like(t), atol=1e-14)
-    assert np.allclose(b.eval_one(2, t), math.sqrt(3.0) * (2.0 * t - 1.0), atol=1e-12)
-    assert np.allclose(b.eval_one(3, t),
+    assert np.allclose(b.eval_all(t)[0], np.ones_like(t), atol=1e-14)
+    assert np.allclose(b.eval_all(t)[1], math.sqrt(3.0) * (2.0 * t - 1.0), atol=1e-12)
+    assert np.allclose(b.eval_all(t)[2],
                        math.sqrt(5.0) * (6.0 * t**2 - 6.0 * t + 1.0), atol=1e-12)
 
 
 def test_point_values_from_spec_examples():
     b = build_poly_basis(1)
-    assert b.eval_one(2, 0.5)[0] == pytest.approx(0.0, abs=1e-14)
-    assert b.eval_one(2, 1.0)[0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
+    assert b.eval_all(0.5)[1][0] == pytest.approx(0.0, abs=1e-14)
+    assert b.eval_all(1.0)[1][0] == pytest.approx(math.sqrt(3.0), abs=1e-14)
 
 
 def test_cross_moment_vanishes():
     b = build_poly_basis(2)
-    val = _quad01(lambda x: b.eval_one(2, x) * b.eval_one(3, x))
+    val = _quad01(lambda x: b.eval_all(x)[1] * b.eval_all(x)[2])
     assert abs(val) < 1e-12
 
 
@@ -79,23 +79,3 @@ def test_degree_bound_enforced():
         build_poly_basis(11)
     with pytest.raises(UnsupportedDegree):
         build_poly_basis(-1)
-
-
-def test_sup_norms_analytic_and_attained():
-    b = build_poly_basis(6)
-    t = np.linspace(0.0, 1.0, 20001)
-    vals = np.abs(b.eval_all(t))
-    for i in range(7):
-        assert b.sup_norms[i] == pytest.approx(math.sqrt(2 * i + 1), abs=1e-14)
-        assert vals[i].max() <= b.sup_norms[i] + 1e-9
-        assert vals[i][-1] == pytest.approx(b.sup_norms[i], abs=1e-9)
-
-
-def test_tv_norms_match_fine_grid_oracle():
-    b = build_poly_basis(5)
-    t = np.linspace(0.0, 1.0, 2**18 + 1)
-    vals = b.eval_all(t)
-    for i in range(6):
-        # variation inside (0,1) plus the jumps of the zero extension
-        grid_tv = np.abs(np.diff(vals[i])).sum() + abs(vals[i][0]) + abs(vals[i][-1])
-        assert abs(grid_tv - b.tv_norms[i]) < 1e-6

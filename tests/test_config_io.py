@@ -55,6 +55,9 @@ class TestParse:
             parse_config("experiment = lsv-histogram-figure\nn = ten\ngamma = 0.5\n")
         with pytest.raises(ConfigError):
             parse_config("experiment = lsv-histogram-figure\nn = 10\ngamma = 1.5\n")
+        with pytest.raises(ConfigError, match="p must be >= 1"):
+            parse_config("experiment = risk-table-sweep\nn_grid = 10,20\ntrials = 2\n"
+                         "p = 0.5\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

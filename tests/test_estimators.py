@@ -6,7 +6,7 @@ import pytest
 from betadens import (EPANECHNIKOV, DomainError, PiecewisePolyDensity,
                       ProcessKind, ProcessSpec, Sample, build_poly_basis,
                       estimate_mass, evaluate, histogram_estimate,
-                      kernel_estimate, projection_constants, projection_estimate)
+                      kernel_estimate, projection_estimate)
 
 
 def _sample(values):
@@ -193,12 +193,3 @@ def test_phi_system_gram_identity():
         s = slice(j * (r + 1), (j + 1) * (r + 1))
         gram[s, s] = block
     assert np.max(np.abs(gram - np.eye(dim))) < 1e-8
-
-
-def test_projection_constants_histogram_case():
-    # degree 0: ||R||_inf = 1 and ||dR|| = 2 (two unit jumps)
-    basis = build_poly_basis(0)
-    for p in (1.0, 2.0, 3.0):
-        c1, c2 = projection_constants(basis, p)
-        assert c1 == pytest.approx(2.0 ** (0.5 * p), rel=1e-12)
-        assert c2 == pytest.approx(2.0 ** (p - 1.0), rel=1e-12)

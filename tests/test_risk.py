@@ -3,20 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from betadens import (DomainError, EmptyEstimate, HistogramSpec,
+from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
                       ProcessSpec, binning_bias, build_poly_basis,
                       envelope_check, gaussian,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, step_density, two_level, uniform01)
 from betadens import Sample
-
-PUBLISHED_RISK_TABLE = [(5000, 0.0477), (10000, 0.0381), (15000, 0.0265), (20000, 0.0316),
-               (25000, 0.0293), (30000, 0.0292), (35000, 0.0207), (40000, 0.0277),
-               (45000, 0.0245), (50000, 0.0191), (55000, 0.0251), (60000, 0.0227),
-               (65000, 0.0177), (70000, 0.0217), (75000, 0.0231), (80000, 0.0209),
-               (85000, 0.0202), (90000, 0.0156), (95000, 0.0197), (100000, 0.0209),
-               (105000, 0.0193), (110000, 0.0189)]
+from test_acceptance import REFERENCE_TABLE
 
 
 def _hist_from_heights(heights):
@@ -218,9 +212,14 @@ class TestMonteCarlo:
         assert 0.0 < rep.mean_risk < 1.0
 
     def test_errors_carry_trial_index(self):
-        with pytest.raises(RuntimeError, match="trial 1"):
+        with pytest.raises(RuntimeError, match="trial 1") as info:
             monte_carlo_risk(self.SPEC, HistogramSpec(m=0), two_level(),
                              trials=2, master_seed=1)
+        assert isinstance(info.value, BetadensError)
+        assert "seed 0" in str(info.value)      # master_seed 1 XOR trial 1
+        with pytest.raises(BetadensError, match=r"trial 1 \(seed 0\)"):
+            monte_carlo_risk(self.SPEC, HistogramSpec(m=0), two_level(),
+                             trials=2, master_seed=1, workers=2)
 
 
 class TestEnvelope:
@@ -269,7 +268,7 @@ class TestLoglogSlope:
         assert loglog_slope(points) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
     def test_published_table_slope(self):
-        slope = loglog_slope(PUBLISHED_RISK_TABLE)
+        slope = loglog_slope(REFERENCE_TABLE.items())
         assert -0.45 <= slope <= -0.20
 
     def test_input_validation(self):

@@ -5,9 +5,9 @@ import pytest
 
 from betadens import ConfigError, histogram_bins_lsv
 from betadens.cli import main
-from betadens.config import load_config, parse_config
+from betadens.config import EXPERIMENTS, load_config, parse_config, serialize_config
 from betadens.csvio import read_csv
-from betadens.runner import run_experiment
+from betadens.runner import _RUNNERS, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,9 +121,14 @@ class TestCli:
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("experiment = risk-table-sweep\nbogus_key = 1\n")
-        assert main(["run", str(cfg)]) == 1
-        assert "bogus_key" in capsys.readouterr().err
+        for text, named in (
+                ("experiment = risk-table-sweep\nbogus_key = 1\n", "bogus_key"),
+                ("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\np = 0.5\n",
+                 "p must be >= 1")):
+            cfg.write_text(text)
+            assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
 
     def test_config_error_type(self):
         with pytest.raises(ConfigError):
@@ -134,4 +139,6 @@ def test_shipped_configs_parse():
     paths = sorted(CONFIG_DIR.glob("*.cfg"))
     assert len(paths) >= 8
     for path in paths:
-        load_config(path)
+        config = load_config(path)
+        assert parse_config(serialize_config(config)) == config
+    assert set(_RUNNERS) == set(EXPERIMENTS)

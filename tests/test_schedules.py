@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from betadens import (DomainError, RateRegime, equivalent_density,
-                      equivalent_density_cdf, equivalent_density_quantile,
                       histogram_bins_bv, histogram_bins_lsv, kernel_bandwidth,
                       lsv_rate_exponent)
 from betadens.quadrature import integrate_panels
@@ -134,9 +133,3 @@ class TestEquivalentDensity:
             equivalent_density(0.0, 0.5)
         with pytest.raises(DomainError):
             equivalent_density(1.5, 0.5)
-
-    def test_cdf_quantile_roundtrip(self):
-        gamma = 0.3
-        for u in np.linspace(0.01, 1.0, 23):
-            x = equivalent_density_quantile(u, gamma)
-            assert equivalent_density_cdf(x, gamma) == pytest.approx(u, abs=1e-12)
