@@ -7,6 +7,7 @@ missing required keys, so a config names everything the run depends on.
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -145,6 +146,11 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"gamma must lie in (0, 1), got {config.gamma}")
     if not config.p >= 1.0:
         raise ConfigError(f"p must be >= 1, got {config.p}")
+    if not (math.isfinite(config.bins_constant) and config.bins_constant > 0.0):
+        raise ConfigError(
+            f"bins_constant must be a finite number > 0, got {config.bins_constant}")
+    if config.grid_points < 2:
+        raise ConfigError(f"grid_points must be >= 2, got {config.grid_points}")
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.threads < 1:

@@ -15,6 +15,11 @@ from .basis import PolyBasis, build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
 from .processes import Sample
+from .quadrature import panel_nodes
+
+# sample values one gather of KernelDensity.evaluate holds at most; bounds
+# its temporaries (about 64 KB each) whatever the number of query points
+_GATHER_ELEMENTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,28 +39,39 @@ class KernelDensity:
     def n(self) -> int:
         return len(self.sorted_values)
 
-    @property
-    def support_hint(self) -> tuple[float, float]:
-        r = self.bandwidth * self.kernel.support_radius
-        return float(self.sorted_values[0] - r), float(self.sorted_values[-1] + r)
-
     def breakpoints(self) -> np.ndarray:
-        """Kink locations of the estimate (edges of each shifted kernel support)."""
-        r = self.bandwidth * self.kernel.support_radius
-        pts = np.concatenate([self.sorted_values - r, self.sorted_values + r])
-        return np.unique(pts)
+        """Kink locations of the estimate: Y_k + h u for every kink u of K."""
+        offsets = self.bandwidth * np.asarray(self.kernel.kinks)
+        return np.unique(self.sorted_values[:, None] + offsets)
 
     def evaluate(self, x) -> np.ndarray:
+        """f_n at each x, bit for bit the sum of K over each point's window.
+
+        The sample values within h * support_radius of x form a contiguous
+        window of the sorted sample.  Points with equal window widths w are
+        gathered into (k, w) rows, at most _GATHER_ELEMENTS values at a time,
+        and each row is summed along its contiguous axis: the same pairwise
+        order as summing the window alone.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self.sorted_values
         h = self.bandwidth
         r = h * self.kernel.support_radius
         lo = np.searchsorted(v, x - r, side="left")
-        hi = np.searchsorted(v, x + r, side="right")
+        width = np.searchsorted(v, x + r, side="right") - lo
         out = np.zeros_like(x)
-        for i in range(len(x)):
-            if hi[i] > lo[i]:
-                out[i] = self.kernel.eval((x[i] - v[lo[i]:hi[i]]) / h).sum()
+        order = np.argsort(width, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
+        for group in groups:
+            w = int(width[group[0]])
+            if w == 0:
+                continue
+            offsets = np.arange(w)
+            rows = max(1, _GATHER_ELEMENTS // w)
+            for start in range(0, len(group), rows):
+                idx = group[start:start + rows]
+                window = v[lo[idx, None] + offsets]
+                out[idx] = self.kernel.eval((x[idx, None] - window) / h).sum(axis=1)
         return out / (self.n * h)
 
 
@@ -84,10 +100,6 @@ class PiecewisePolyDensity:
     @property
     def degree(self) -> int:
         return self.basis.degree
-
-    @property
-    def support_hint(self) -> tuple[float, float]:
-        return (0.0, 1.0)
 
     def breakpoints(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.m
@@ -159,23 +171,14 @@ def evaluate(estimate: DensityEstimate, x):
 
 
 def estimate_mass(estimate: DensityEstimate) -> float:
-    """Integral of the estimate over its support.
+    """Integral of the estimate over its support, exact up to rounding.
 
     Histogram/projection mass is a finite sum of exact bin integrals.  A
-    kernel estimate is polynomial between consecutive kinks, where moderate
-    Gauss-Legendre panels are exact, up to 4096 kinks (n <= 2048 sample
-    values); beyond that the panels are spread evenly over the support, off
-    the kinks, and the mass is a quadrature approximation.
+    kernel estimate is a polynomial of degree <= 2 between consecutive kinks,
+    where 16-node Gauss-Legendre panels are exact.
     """
     if isinstance(estimate, PiecewisePolyDensity):
         # only the constant component carries mass: int_0^1 Q_i = 0 for i >= 2
         return float(estimate.coeffs[0].sum() / np.sqrt(estimate.m))
-    edges = estimate.breakpoints()
-    if len(edges) > 4096:
-        lo, hi = estimate.support_hint
-        edges = np.linspace(lo, hi, 4097)
-    from .quadrature import panel_nodes
-
-    x, w = panel_nodes(edges, 16)
+    x, w = panel_nodes(estimate.breakpoints(), 16)
     return float(np.dot(w, estimate.evaluate(x)))
-

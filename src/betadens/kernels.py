@@ -32,25 +32,31 @@ class KernelSpec:
 
     total_variation is the variation norm of the measure dK and l1_norm the
     Lebesgue L1 norm of K; both are recorded analytically and cross-checked
-    against grid/quadrature oracles in the test suite.
+    against grid/quadrature oracles in the test suite.  kinks lists every u
+    where K is not smooth, in increasing order; K is a polynomial between
+    consecutive kinks and zero beyond the outer ones.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     total_variation: float
     l1_norm: float
-    support_radius: float
+    kinks: tuple[float, ...]
+
+    @property
+    def support_radius(self) -> float:
+        return max(-self.kinks[0], self.kinks[-1])
 
     def __call__(self, u):
         return self.eval(u)
 
 
 EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov,
-                          total_variation=1.5, l1_norm=1.0, support_radius=1.0)
+                          total_variation=1.5, l1_norm=1.0, kinks=(-1.0, 1.0))
 RECTANGULAR = KernelSpec("rectangular", _rectangular,
-                         total_variation=2.0, l1_norm=1.0, support_radius=0.5)
+                         total_variation=2.0, l1_norm=1.0, kinks=(-0.5, 0.5))
 TRIANGULAR = KernelSpec("triangular", _triangular,
-                        total_variation=2.0, l1_norm=1.0, support_radius=1.0)
+                        total_variation=2.0, l1_norm=1.0, kinks=(-1.0, 0.0, 1.0))
 
 KERNELS = {k.name: k for k in (EPANECHNIKOV, RECTANGULAR, TRIANGULAR)}
 

@@ -58,6 +58,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="p must be >= 1"):
             parse_config("experiment = risk-table-sweep\nn_grid = 10,20\ntrials = 2\n"
                          "p = 0.5\n")
+        for value in ("nan", "inf", "-inf", "0", "-1.5"):
+            with pytest.raises(ConfigError, match="bins_constant must be a finite number"):
+                parse_config("experiment = risk-table-sweep\nn_grid = 10,20\ntrials = 2\n"
+                             f"bins_constant = {value}\n")
+        for value in ("0", "1", "-4"):
+            with pytest.raises(ConfigError, match="grid_points must be >= 2"):
+                parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
+                             f"sigma2 = 1\ngrid_points = {value}\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betadens import (EPANECHNIKOV, DomainError, PiecewisePolyDensity,
-                      ProcessKind, ProcessSpec, Sample, build_poly_basis,
-                      estimate_mass, evaluate, histogram_estimate,
-                      kernel_estimate, projection_estimate)
+from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError,
+                      PiecewisePolyDensity, ProcessKind, ProcessSpec, Sample,
+                      build_poly_basis, estimate_mass, evaluate,
+                      histogram_estimate, kernel_estimate, projection_estimate,
+                      silverman_bandwidth)
+from betadens.estimators import _GATHER_ELEMENTS
 
 
 def _sample(values):
@@ -26,6 +30,53 @@ def _panel_integral(estimate, edges, nodes=16):
         x = a + half * (u + 1.0)
         total += half * float(np.dot(w, estimate.evaluate(x)))
     return total
+
+
+def _evaluate_oracle(estimate, x):
+    # the per-point loop that KernelDensity.evaluate replaced: one sum of K
+    # over each query point's window of the sorted sample
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    v = estimate.sorted_values
+    h = estimate.bandwidth
+    r = h * estimate.kernel.support_radius
+    lo = np.searchsorted(v, x - r, side="left")
+    hi = np.searchsorted(v, x + r, side="right")
+    out = np.zeros_like(x)
+    for i in range(len(x)):
+        if hi[i] > lo[i]:
+            out[i] = estimate.kernel.eval((x[i] - v[lo[i]:hi[i]]) / h).sum()
+    return out / (estimate.n * h)
+
+
+# a few fixed values make duplicate sample values and equal window widths common
+_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 2.0]), st.floats(-3.0, 3.0))
+
+
+class TestVectorizedEvaluate:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_VALUES, min_size=1, max_size=80),
+           queries=st.lists(st.floats(-8.0, 8.0), max_size=80),
+           kernel=st.sampled_from(sorted(KERNELS)),
+           h=st.floats(0.01, 3.0))
+    def test_bit_identical_to_per_point_loop(self, values, queries, kernel, h):
+        est = kernel_estimate(_sample(values), KERNELS[kernel], h)
+        # the queries, points far outside the support (empty windows), and
+        # every sample value and kink, where a window gains or loses a value
+        x = np.concatenate([queries, [-50.0, 50.0], est.sorted_values,
+                            est.breakpoints()])
+        assert np.array_equal(est.evaluate(x), _evaluate_oracle(est, x))
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_window_wider_than_one_gather(self, kernel):
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal(12000)
+        est = kernel_estimate(_sample(values), KERNELS[kernel], 3.0)
+        x = np.concatenate([np.linspace(-5.0, 5.0, 37), values[:5]])
+        r = est.bandwidth * est.kernel.support_radius
+        v = est.sorted_values
+        width = np.searchsorted(v, x + r, side="right") - np.searchsorted(v, x - r)
+        assert width.max() > _GATHER_ELEMENTS and width.min() < _GATHER_ELEMENTS
+        assert np.array_equal(est.evaluate(x), _evaluate_oracle(est, x))
 
 
 class TestKernelEstimate:
@@ -62,6 +113,24 @@ class TestKernelEstimate:
         for x in (0.0, 0.3, 0.77, 1.2):
             direct = np.mean(EPANECHNIKOV.eval((x - values) / h)) / h
             assert evaluate(est, x) == pytest.approx(direct, rel=1e-12)
+
+    def test_breakpoints_list_every_kink(self):
+        values = np.array([0.1, 0.4, 0.45])
+        est = kernel_estimate(_sample(values), TRIANGULAR, 0.2)
+        # the triangular kernel peaks at each sample value
+        assert np.array_equal(est.breakpoints(), np.unique(
+            np.concatenate([values - 0.2, values, values + 0.2])))
+        est = kernel_estimate(_sample(values), EPANECHNIKOV, 0.2)
+        assert np.array_equal(est.breakpoints(),
+                              np.unique(np.concatenate([values - 0.2, values + 0.2])))
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_mass_exact_at_n5000(self, kernel):
+        # 10,000 to 15,000 kinks: every panel still ends on a kink
+        rng = np.random.default_rng(2024)
+        sample = _sample(rng.normal(10.0, math.sqrt(2.0), 5000))
+        est = kernel_estimate(sample, KERNELS[kernel], silverman_bandwidth(sample))
+        assert abs(estimate_mass(est) - 1.0) < 1e-12
 
     def test_estimate_mass_helper_agrees(self):
         rng = np.random.default_rng(8)

@@ -46,6 +46,26 @@ def test_vanishes_outside_support(kernel):
         assert kernel.eval(u) == 0.0
 
 
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, RECTANGULAR, TRIANGULAR])
+def test_kinks_split_kernel_into_polynomials(kernel):
+    # K is a polynomial of degree <= 2 strictly between consecutive kinks and
+    # zero beyond the outer ones; with a kink left out, some piece is not
+    assert list(kernel.kinks) == sorted(kernel.kinks)
+
+    def pieces_fit(kinks):
+        cuts = [-3.0, *kinks, 3.0]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            u = np.linspace(a, b, 41)[1:-1]
+            coef = np.polyfit(u, kernel.eval(u), 2)
+            if np.abs(np.polyval(coef, u) - kernel.eval(u)).max() > 1e-9:
+                return False
+        return True
+
+    assert pieces_fit(kernel.kinks)
+    for i in range(len(kernel.kinks)):
+        assert not pieces_fit(kernel.kinks[:i] + kernel.kinks[i + 1:])
+
+
 def test_known_analytic_values():
     assert EPANECHNIKOV.total_variation == 1.5
     assert RECTANGULAR.total_variation == 2.0

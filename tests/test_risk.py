@@ -10,7 +10,10 @@ from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, step_density, two_level, uniform01)
 from betadens import Sample
+from betadens.config import load_config
+from betadens.risk import _trial_risk
 from test_acceptance import REFERENCE_TABLE
+from test_runner import CONFIG_DIR
 
 
 def _hist_from_heights(heights):
@@ -210,6 +213,18 @@ class TestMonteCarlo:
         rep = monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0),
                                trials=3, master_seed=21)
         assert 0.0 < rep.mean_risk < 1.0
+
+    def test_kernel_trial_value_is_pinned(self):
+        # determinism contract: trial 1 of figure_kernel_gaussian_n1000.cfg
+        # (Epanechnikov, Silverman bandwidth, p = 1) keeps its exact value
+        cfg = load_config(CONFIG_DIR / "figure_kernel_gaussian_n1000.cfg")
+        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=cfg.n, seed=cfg.master_seed ^ 1,
+                           burn_in=cfg.burn_in, mu=cfg.mu, sigma2=cfg.sigma2)
+        assert (cfg.n, cfg.master_seed, cfg.kernel, cfg.bandwidth, cfg.p) == (
+            1000, 101, "epanechnikov", "silverman", 1.0)
+        value = _trial_risk((1, spec, KernelEstimatorSpec(kernel_name=cfg.kernel),
+                             gaussian(cfg.mu, cfg.sigma2), cfg.p))
+        assert value.hex() == "0x1.b7fb2bc4cfa30p-5"
 
     def test_errors_carry_trial_index(self):
         with pytest.raises(RuntimeError, match="trial 1") as info:

@@ -124,7 +124,11 @@ class TestCli:
         for text, named in (
                 ("experiment = risk-table-sweep\nbogus_key = 1\n", "bogus_key"),
                 ("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\np = 0.5\n",
-                 "p must be >= 1")):
+                 "p must be >= 1"),
+                ("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\n"
+                 "bins_constant = nan\n", "bins_constant must be a finite number > 0"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
+                 "grid_points = 0\n", "grid_points must be >= 2")):
             cfg.write_text(text)
             assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
