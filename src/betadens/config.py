@@ -137,15 +137,20 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate(config: ExperimentConfig) -> None:
     if config.bandwidth != "silverman":
         try:
-            float(config.bandwidth)
+            h = float(config.bandwidth)
         except ValueError:
-            raise ConfigError(
-                f"bandwidth must be 'silverman' or a number, got {config.bandwidth!r}"
-            ) from None
+            h = math.nan
+        if not 0.0 < h < math.inf:
+            raise ConfigError("bandwidth must be 'silverman' or a number, finite and > 0, "
+                              f"got {config.bandwidth!r}")
     if config.gamma is not None and not 0.0 < config.gamma < 1.0:
         raise ConfigError(f"gamma must lie in (0, 1), got {config.gamma}")
-    if not config.p >= 1.0:
-        raise ConfigError(f"p must be >= 1, got {config.p}")
+    if config.mu is not None and not math.isfinite(config.mu):
+        raise ConfigError(f"mu must be finite, got {config.mu}")
+    if config.sigma2 is not None and not 0.0 < config.sigma2 < math.inf:
+        raise ConfigError(f"sigma2 must be a finite number > 0, got {config.sigma2}")
+    if not 1.0 <= config.p < math.inf:
+        raise ConfigError(f"p must be >= 1 and finite, got {config.p}")
     if not (math.isfinite(config.bins_constant) and config.bins_constant > 0.0):
         raise ConfigError(
             f"bins_constant must be a finite number > 0, got {config.bins_constant}")

@@ -129,8 +129,8 @@ DensityEstimate = KernelDensity | PiecewisePolyDensity
 
 
 def kernel_estimate(sample: Sample, kernel: KernelSpec, h: float) -> KernelDensity:
-    if h <= 0.0:
-        raise DomainError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise DomainError(f"bandwidth must be positive and finite, got {h}")
     if len(sample) == 0:
         raise DomainError("cannot estimate from an empty sample")
     return KernelDensity(sorted_values=sample.values, kernel=kernel, bandwidth=h)

@@ -99,27 +99,25 @@ def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> S
 
     The recursion X_{k+1} = (X_k + eps_{k+1})/2 prepends each innovation bit
     to the binary expansion of the state, so the k-th iterate is the 64-bit
-    sliding window over the innovation stream (seeded with the bits of the
-    uniform initial state).  The chain is evaluated in 64-bit fixed point:
-    each value is within 2^-64 of the exact real recursion, and the whole
-    trajectory is produced by vectorized shifts instead of a scalar loop.
+    sliding window over one bit stream: the 64 bits of the uniform initial
+    state, as innovations at times -64 ... -1, followed by the innovations.
+    The chain is evaluated in 64-bit fixed point: each value is within 2^-64
+    of the exact real recursion.  The windows are built in place by
+    log-doubling, six vectorized shift-or passes instead of a scalar loop.
     """
     spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
     rng = _rng(seed)
-    x0 = rng.random()
+    x0 = np.uint64(int(rng.random() * 2.0**64))
     total = burn_in + n
-    bits = rng.integers(0, 2, size=total, dtype=np.uint64)
+    reg = np.empty(64 + total, dtype=np.uint64)
+    reg[:64] = (x0 >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    reg[64:] = rng.integers(0, 2, size=total, dtype=np.uint64)
+    reg <<= np.uint64(63)
+    # after the pass with shift s, each entry holds the latest 2s bits
+    for s in (1, 2, 4, 8, 16, 32):
+        reg[s:] |= reg[:-s] >> np.uint64(s)
 
-    reg = np.zeros(total, dtype=np.uint64)
-    for s in range(min(64, total)):
-        reg[s:] |= bits[: total - s] << np.uint64(63 - s)
-    # bits of X_0 fill the part of the window not yet covered by innovations
-    reg0 = np.uint64(int(x0 * 2.0**64))
-    head = min(64, total)
-    shifts = np.arange(1, head + 1, dtype=np.uint64)
-    reg[:head] |= reg0 >> shifts
-
-    values = reg[burn_in:].astype(np.float64) * 2.0**-64
+    values = reg[64 + burn_in:].astype(np.float64) * 2.0**-64
     return Sample(values=values, spec=spec)
 
 
@@ -191,8 +189,6 @@ def lsv_trajectory(n: int, gamma: float, burn_in: int = DEFAULT_BURN_IN,
     """
     spec = ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=n, seed=seed,
                        burn_in=burn_in, gamma=gamma)
-    if not 0.0 < gamma < 1.0:
-        raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
     rng = _rng(seed)
     x = rng.random()
     scale = 2.0**gamma
@@ -215,7 +211,11 @@ def generate(spec: ProcessSpec) -> Sample:
         return ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
     if spec.kind is ProcessKind.AR1_GAUSSIAN:
         base = ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
-        return gaussian_quantile_transform(base, spec.mu, spec.sigma2)
+        # registers 0 and >= 2^64 - 2^10 round to 0.0 and 1.0, where the
+        # quantile is infinite; every other chain value is left unchanged
+        inside = np.clip(base.values, 2.0**-64, 1.0 - 2.0**-53)
+        return gaussian_quantile_transform(Sample(values=inside, spec=base.spec),
+                                           spec.mu, spec.sigma2)
     if spec.kind is ProcessKind.AR1_PIECEWISE:
         base = ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
         return piecewise_quantile_transform(base)

@@ -40,9 +40,9 @@ class ReferenceDensity:
 
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "uniform01":
-            return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
         if self.kind == "two-level":
+            # open middle piece and closed ends: 0.5 at x = 0 and x = 3/4,
+            # where the step pieces (a, b] in `breaks` give 0 and 1.5
             inside = (x >= 0.0) & (x <= 1.0)
             mid = (x > 0.25) & (x < 0.75)
             return np.where(inside, np.where(mid, 1.5, 0.5), 0.0)
@@ -51,37 +51,26 @@ class ReferenceDensity:
             z = (x - self.mu) / sigma
             return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
         if self.kind == "step":
-            breaks = np.asarray(self.breaks)
-            idx = np.searchsorted(breaks, x, side="left") - 1
-            out = np.zeros_like(x)
-            inside = (x > breaks[0]) & (x <= breaks[-1])
-            out[inside] = np.asarray(self.values)[idx[inside]]
-            return out
+            return _step_value(*self.step_representation(), x)
         raise DomainError(f"unknown reference kind {self.kind!r}")
 
     def step_representation(self):
         """(breaks, values) when the density is piecewise constant, else None."""
-        if self.kind == "uniform01":
-            return np.array([0.0, 1.0]), np.array([1.0])
-        if self.kind == "two-level":
-            return np.array([0.0, 0.25, 0.75, 1.0]), np.array([0.5, 1.5, 0.5])
-        if self.kind == "step":
-            return np.asarray(self.breaks), np.asarray(self.values)
-        return None
+        if self.breaks is None:
+            return None
+        return np.asarray(self.breaks), np.asarray(self.values)
 
     def breakpoints(self) -> np.ndarray:
-        step = self.step_representation()
-        if step is not None:
-            return step[0]
-        return np.array(self.support)
+        return np.asarray(self.breaks if self.breaks is not None else self.support)
 
 
 def uniform01() -> ReferenceDensity:
-    return ReferenceDensity(kind="uniform01", support=(0.0, 1.0))
+    return step_density((0.0, 1.0), (1.0,))
 
 
 def two_level() -> ReferenceDensity:
-    return ReferenceDensity(kind="two-level", support=(0.0, 1.0))
+    return ReferenceDensity(kind="two-level", support=(0.0, 1.0),
+                            breaks=(0.0, 0.25, 0.75, 1.0), values=(0.5, 1.5, 0.5))
 
 
 def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
@@ -123,17 +112,13 @@ class RiskReport:
     per_trial: tuple[float, ...]
 
 
-def _histogram_step(estimate: PiecewisePolyDensity):
-    breaks = estimate.breakpoints()
-    return breaks, estimate.bin_values()
-
-
-def _step_value(breaks: np.ndarray, values: np.ndarray, x: float) -> float:
-    # half-open pieces (breaks[i], breaks[i+1]]; outside the range -> 0
-    if x <= breaks[0] or x > breaks[-1]:
-        return 0.0
-    i = int(np.searchsorted(breaks, x, side="left")) - 1
-    return float(values[i])
+def _step_value(breaks: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    """The step function with pieces (breaks[i], breaks[i+1]] at the points x;
+    0 outside (breaks[0], breaks[-1]]."""
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, len(values) - 1)
+    inside = (x > breaks[0]) & (x <= breaks[-1])
+    return np.where(inside, values[idx], 0.0)
 
 
 def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
@@ -153,19 +138,21 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
 
     step = reference.step_representation()
     if isinstance(estimate, PiecewisePolyDensity) and estimate.degree == 0 and step is not None:
-        eb, ev = _histogram_step(estimate)
+        eb = estimate.breakpoints()
         rb, rv = step
         cuts = np.unique(np.concatenate([
             [lo, hi],
             eb[(eb > lo) & (eb < hi)],
             rb[(rb > lo) & (rb < hi)],
         ]))
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        gaps = np.abs(_step_value(eb, estimate.bin_values(), mids)
+                      - _step_value(rb, rv, mids))
+        # Python's float power and a left-to-right sum: numpy's power rounds
+        # differently for p != 1, and a numpy sum would reorder the additions
         total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (a + b)
-            fe = _step_value(eb, ev, mid)
-            fr = _step_value(rb, rv, mid)
-            total += abs(fe - fr) ** p * (b - a)
+        for gap, width in zip(gaps.tolist(), np.diff(cuts).tolist()):
+            total += gap ** p * width
         return total
 
     eb = estimate.breakpoints()

@@ -96,12 +96,13 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
     m = config.m if config.m is not None else histogram_bins_bv(config.n, config.bins_constant)
+    reference = two_level()
+    breaks, values = reference.step_representation()
     return _histogram_figure(
         out, f"histogram_two_level_n{config.n}", generate(spec), m,
-        "true_density_at_mid", two_level().pdf,
+        "true_density_at_mid", reference.pdf,
         f"histogram, two-level density, n={config.n}, m={m}",
-        np.array([0.0, 0.25, 0.25, 0.75, 0.75, 1.0]),
-        np.array([0.5, 0.5, 1.5, 1.5, 0.5, 0.5]))
+        np.repeat(breaks, 2)[1:-1], np.repeat(values, 2))
 
 
 def _risk_sweep_rows(config: ExperimentConfig):

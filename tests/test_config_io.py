@@ -66,6 +66,21 @@ class TestParse:
             with pytest.raises(ConfigError, match="grid_points must be >= 2"):
                 parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
                              f"sigma2 = 1\ngrid_points = {value}\n")
+        for value in ("inf", "nan"):
+            with pytest.raises(ConfigError, match="p must be >= 1"):
+                parse_config("experiment = risk-table-sweep\nn_grid = 10,20\ntrials = 2\n"
+                             f"p = {value}\n")
+        for key, value, named in (
+                ("mu", "nan", "mu must be finite"), ("mu", "-inf", "mu must be finite"),
+                ("sigma2", "nan", "sigma2 must be a finite number > 0"),
+                ("sigma2", "inf", "sigma2 must be a finite number > 0"),
+                ("bandwidth", "nan", "bandwidth must be 'silverman' or a number"),
+                ("bandwidth", "inf", "bandwidth must be 'silverman' or a number"),
+                ("bandwidth", "-inf", "bandwidth must be 'silverman' or a number")):
+            keys = {"mu": "0", "sigma2": "1", key: value}
+            with pytest.raises(ConfigError, match=named):
+                parse_config("experiment = kernel-gaussian-figure\nn = 10\n"
+                             + "".join(f"{k} = {v}\n" for k, v in keys.items()))
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -7,6 +7,8 @@ from betadens import (DomainError, ProcessKind, ProcessSpec, Sample,
                       ar1_binary_chain, ar1_step, gaussian_quantile_transform,
                       generate, lsv_step, lsv_trajectory, piecewise_quantile,
                       piecewise_quantile_transform)
+from betadens import processes
+from betadens.processes import _rng
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -16,7 +18,32 @@ def _ks_uniform(values: np.ndarray) -> float:
     return float(max(np.abs(ranks - xs).max(), np.abs(xs - (ranks - 1.0 / k)).max()))
 
 
+def _chain_oracle(n: int, burn_in: int, seed: int) -> np.ndarray:
+    # one shift-or pass per window position over the innovations, then the
+    # bits of X_0 shifted into the first 64 windows
+    rng = _rng(seed)
+    x0 = rng.random()
+    total = burn_in + n
+    bits = rng.integers(0, 2, size=total, dtype=np.uint64)
+    reg = np.zeros(total, dtype=np.uint64)
+    for s in range(min(64, total)):
+        reg[s:] |= bits[: total - s] << np.uint64(63 - s)
+    reg0 = np.uint64(int(x0 * 2.0**64))
+    head = min(64, total)
+    reg[:head] |= reg0 >> np.arange(1, head + 1, dtype=np.uint64)
+    return reg[burn_in:].astype(np.float64) * 2.0**-64
+
+
 class TestAr1Chain:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_log_doubled_window_matches_per_position_passes(self, seed):
+        for n in (1, 63, 64, 65, 2000):
+            for burn_in in (0, 1, 63, 1000):
+                got = ar1_binary_chain(n, burn_in=burn_in, seed=seed).values
+                want = _chain_oracle(n, burn_in, seed)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                    (n, burn_in)
+
     def test_single_step_recursion(self):
         assert ar1_step(0.5, 1) == 0.75
         assert ar1_step(0.5, 0) == 0.25
@@ -81,6 +108,18 @@ class TestTransforms:
             s = Sample(values=np.array(bad), spec=spec)
             with pytest.raises(DomainError):
                 gaussian_quantile_transform(s, 0.0, 1.0)
+
+    def test_gaussian_run_survives_rounded_registers(self, monkeypatch):
+        # registers 0 and >= 2^64 - 2^10 convert to exactly 0.0 and 1.0
+        def chain(n, burn_in, seed):
+            spec = ProcessSpec(ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
+            return Sample(values=np.array([0.0, 0.5, 1.0]), spec=spec)
+
+        monkeypatch.setattr(processes, "ar1_binary_chain", chain)
+        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=3, seed=0, mu=10.0, sigma2=2.0)
+        y = generate(spec).values
+        assert np.all(np.isfinite(y))
+        assert y[0] < y[1] == 10.0 < y[2]
 
     def test_piecewise_branch_values(self):
         assert piecewise_quantile(0.5) == pytest.approx(0.5, abs=1e-15)

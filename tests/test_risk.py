@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
@@ -47,7 +49,58 @@ def _quad_oracle(estimate, reference, p, lo, hi, total_nodes=10**5):
     return total
 
 
+def _merge_oracle(estimate, reference, p, lo, hi):
+    # the per-cut merge: one scalar piece lookup on each side per cut
+    def value(breaks, values, x):
+        if x <= breaks[0] or x > breaks[-1]:
+            return 0.0
+        return float(values[int(np.searchsorted(breaks, x, side="left")) - 1])
+
+    eb, ev = estimate.breakpoints(), estimate.bin_values()
+    rb, rv = reference.step_representation()
+    cuts = np.unique(np.concatenate([
+        [lo, hi], eb[(eb > lo) & (eb < hi)], rb[(rb > lo) & (rb < hi)],
+    ]))
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        total += abs(value(eb, ev, mid) - value(rb, rv, mid)) ** p * (b - a)
+    return total
+
+
+_heights = st.floats(0.0, 4.0)
+
+
+@st.composite
+def _step_pair(draw):
+    heights = draw(st.lists(_heights, min_size=1, max_size=40))
+    breaks = sorted(draw(st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=30,
+                                  unique=True)))
+    values = draw(st.lists(_heights, min_size=len(breaks) - 1,
+                           max_size=len(breaks) - 1))
+    return _hist_from_heights(heights), step_density(breaks, values)
+
+
 class TestLpDistance:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_step_pair(),
+           p=st.one_of(st.just(1.0), st.just(2.0), st.floats(1.0, 4.0)),
+           domain=st.one_of(st.none(), st.tuples(st.floats(-1.5, 2.5),
+                                                  st.floats(-1.5, 2.5))))
+    def test_exact_merge_equals_per_cut_oracle(self, pair, p, domain):
+        estimate, reference = pair
+        if domain is not None:
+            assume(domain[0] < domain[1])
+        lo, hi = domain if domain is not None else reference.support
+        got = lp_distance(estimate, reference, p, domain=domain)
+        assert got.hex() == _merge_oracle(estimate, reference, p, lo, hi).hex()
+
+    def test_pdf_conventions_at_the_jumps(self):
+        # uniform01 is a step density, pieces (a, b]; two_level keeps its
+        # closed ends and open middle piece (it samples the shipped figure)
+        assert uniform01().pdf([0.0, 1.0]).tolist() == [0.0, 1.0]
+        assert two_level().pdf([0.0, 0.25, 0.75, 1.0]).tolist() == [0.5, 0.5, 0.5, 0.5]
+
     def test_zero_on_identical_step_functions(self):
         est = _hist_from_heights([0.5, 1.5, 1.5, 0.5])   # m=4 matches two-level
         assert lp_distance(est, two_level(), 1.0) == 0.0

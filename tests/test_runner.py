@@ -128,7 +128,19 @@ class TestCli:
                 ("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\n"
                  "bins_constant = nan\n", "bins_constant must be a finite number > 0"),
                 ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
-                 "grid_points = 0\n", "grid_points must be >= 2")):
+                 "grid_points = 0\n", "grid_points must be >= 2"),
+                ("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\np = inf\n",
+                 "p must be >= 1"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = nan\nsigma2 = 1\n",
+                 "mu must be finite"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = nan\n",
+                 "sigma2 must be a finite number > 0"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = inf\n",
+                 "sigma2 must be a finite number > 0"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
+                 "bandwidth = nan\n", "bandwidth must be 'silverman' or a number"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
+                 "bandwidth = inf\n", "bandwidth must be 'silverman' or a number")):
             cfg.write_text(text)
             assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
