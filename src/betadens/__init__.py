@@ -18,7 +18,7 @@ from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, Sample,
 from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec,
                    ReferenceDensity, RiskReport, binning_bias, build_estimate,
                    envelope_check, gaussian, loglog_slope, lp_distance,
-                   monte_carlo_risk, step_density, two_level, uniform01)
+                   monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
 from .schedules import (RateRegime, equivalent_density, histogram_bins_bv,
                         histogram_bins_lsv, kernel_bandwidth, lsv_rate_exponent)
 

@@ -19,6 +19,7 @@ from .quadrature import gauss_legendre
 
 MAX_ENUM_K = 24      # full atom enumeration: 2^24 atoms
 MAX_CLOSED_K = 40    # closed-form staircase deviation only
+MAX_PAIR_I = 16      # pair bounds enumerate 2^i paths per x0 node
 
 
 def _check_args(x0: float, k: int, limit: int) -> None:
@@ -106,42 +107,29 @@ def _pair_sum(x0: float, i: int, j: int, grid: int) -> np.ndarray:
     return a @ b.T
 
 
-def b0_pair_grid_lower_bound(x0: float, i: int, j: int, grid: int = 256) -> float:
-    """Grid LOWER bound of the two-index coefficient b_0(i, j) at x0.
+def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
+                           x0_nodes: int = 33) -> float:
+    """Grid LOWER bound of E(b_0(i, j)) for X_0 ~ U[0, 1].
 
-    Enumerates the 2^i innovation paths; X_j reuses the first j bits.  The
-    supremum over (s, t) is only sampled on a grid x grid lattice, so the
-    value is a certified lower bound, not the coefficient itself.
+    At each of x0_nodes Gauss-Legendre nodes x0, enumerates the 2^i
+    innovation paths (X_j reuses the first j bits); the unconditional
+    functional is the weighted sum of those conditionals.  The supremum over
+    (s, t) is only sampled on a grid x grid lattice, so the value is a lower
+    bound, not the coefficient itself.
     """
     if not i > j >= 1:
         raise DomainError(f"need i > j >= 1, got ({i}, {j})")
-    _check_args(x0, i, 16)
-    conditional = _pair_sum(x0, i, j, grid) / 2**i
-    unconditional = _pair_functional_stationary(i, j, grid)
-    return float(np.abs(conditional - unconditional).max())
-
-
-def _pair_functional_stationary(i: int, j: int, grid: int,
-                                x0_nodes: int = 33) -> np.ndarray:
-    """E[(1{Y_i <= t} - t)(1{Y_j <= s} - s)] on the grid, X_0 ~ U[0, 1]."""
+    if i > MAX_PAIR_I:
+        raise CapacityError(f"i = {i} exceeds the bound {MAX_PAIR_I} for this operation")
+    if x0_nodes < 1:
+        raise DomainError(f"need at least one x0 node, got {x0_nodes}")
     u, wu = gauss_legendre(x0_nodes)
-    x0s = 0.5 * (u + 1.0)
     w = 0.5 * wu
-    acc = np.zeros((grid, grid))
-    for x0, weight in zip(x0s, w):
-        acc += weight * _pair_sum(x0, i, j, grid) / 2**i
-    return acc
-
-
-def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
-                           x0_nodes: int = 33) -> float:
-    """Grid lower bound of E(b_0(i, j)); exploratory companion to b0_exact."""
-    u, wu = gauss_legendre(x0_nodes)
-    x0s = 0.5 * (u + 1.0)
-    w = 0.5 * wu
-    unconditional = _pair_functional_stationary(i, j, grid, x0_nodes)
+    sums = [_pair_sum(x0, i, j, grid) for x0 in 0.5 * (u + 1.0)]
+    unconditional = np.zeros((grid, grid))
+    for weight, pair_sum in zip(w, sums):
+        unconditional += weight * pair_sum / 2**i
     total = 0.0
-    for x0, weight in zip(x0s, w):
-        conditional = _pair_sum(x0, i, j, grid) / 2**i
-        total += weight * float(np.abs(conditional - unconditional).max())
+    for weight, pair_sum in zip(w, sums):
+        total += weight * float(np.abs(pair_sum / 2**i - unconditional).max())
     return total

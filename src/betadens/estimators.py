@@ -150,11 +150,13 @@ def projection_estimate(sample: Sample, m: int, basis: PolyBasis) -> PiecewisePo
     xi = values[inside]
     coeffs = np.zeros((basis.degree + 1, m))
     if len(xi):
-        j = np.ceil(xi * m).astype(int)
-        t = m * xi - (j - 1)
-        q = basis.eval_all(t)
-        for i in range(basis.degree + 1):
-            coeffs[i] = np.bincount(j - 1, weights=q[i], minlength=m)
+        idx = np.ceil(xi * m).astype(int) - 1
+        # Q_1 = 1, so the degree-0 coefficients are plain counts
+        coeffs[0] = np.bincount(idx, minlength=m)
+        if basis.degree:
+            q = basis.eval_all(m * xi - idx)
+            for i in range(1, basis.degree + 1):
+                coeffs[i] = np.bincount(idx, weights=q[i], minlength=m)
         coeffs *= np.sqrt(m) / n
     return PiecewisePolyDensity(m=m, coeffs=coeffs, basis=basis)
 

@@ -59,8 +59,9 @@ class ProcessSpec:
         gaussian = self.kind is ProcessKind.AR1_GAUSSIAN
         if gaussian != (self.mu is not None and self.sigma2 is not None):
             raise DomainError("mu/sigma2 are required exactly for the gaussian transform")
-        if self.sigma2 is not None and self.sigma2 <= 0.0:
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
+        if gaussian and not (math.isfinite(self.mu) and 0.0 < self.sigma2 < math.inf):
+            raise DomainError("need a finite mu and sigma2 in (0, inf), "
+                              f"got {self.mu}, {self.sigma2}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,8 +74,8 @@ def two_level() -> ReferenceDensity:
 
 
 def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
-    if sigma2 <= 0.0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
+        raise DomainError(f"need a finite mu and sigma2 in (0, inf), got {mu}, {sigma2}")
     sigma = math.sqrt(sigma2)
     # mass outside a six-sigma window is below 1e-8, the quadrature budget
     return ReferenceDensity(kind="gaussian", mu=mu, sigma2=sigma2,
@@ -235,32 +235,43 @@ def _trial_risk(task) -> float:
             f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
 
 
-def monte_carlo_risk(process: ProcessSpec, estimator: EstimatorSpec,
-                     reference: ReferenceDensity, n: int | None = None,
-                     trials: int = 300, p: float = 1.0, master_seed: int = 1,
-                     workers: int = 1) -> RiskReport:
-    """Mean integrated |f_n - f|^p over seeded independent trials.
+def risk_rows(process: ProcessSpec, rows, reference: ReferenceDensity,
+              trials: int = 300, p: float = 1.0, workers: int = 1) -> list[RiskReport]:
+    """One RiskReport per row (n, estimator spec, master_seed), all on one pool.
 
-    Trial t runs on seed master_seed XOR t; per-trial values are reduced in
-    trial order, so the report does not depend on `workers`.
+    Trial t of a row runs on seed master_seed XOR t; the trials of every row
+    go through one map in row then trial order, and each row is reduced from
+    its own slice, so the reports do not depend on `workers`.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
-    if n is None:
-        n = process.n
-    tasks = [(t, replace(process, n=n, seed=master_seed ^ t), estimator, reference, p)
-             for t in range(1, trials + 1)]
-    if workers > 1 and trials > 1:
+    tasks = [(t, replace(process, n=n, seed=seed ^ t), estimator, reference, p)
+             for n, estimator, seed in rows for t in range(1, trials + 1)]
+    if workers > 1 and len(tasks) > 1:
         chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             values = list(pool.map(_trial_risk, tasks, chunksize=chunk))
     else:
         values = [_trial_risk(task) for task in tasks]
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return RiskReport(n=n, trials=trials, p=p, mean_risk=mean, std_error=se,
-                      per_trial=tuple(values))
+    reports = []
+    for r, (n, _, _) in enumerate(rows):
+        row = values[r * trials:(r + 1) * trials]
+        arr = np.asarray(row)
+        se = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        reports.append(RiskReport(n=n, trials=trials, p=p, mean_risk=float(arr.mean()),
+                                  std_error=se, per_trial=tuple(row)))
+    return reports
+
+
+def monte_carlo_risk(process: ProcessSpec, estimator: EstimatorSpec,
+                     reference: ReferenceDensity, n: int | None = None,
+                     trials: int = 300, p: float = 1.0, master_seed: int = 1,
+                     workers: int = 1) -> RiskReport:
+    """Mean integrated |f_n - f|^p over seeded independent trials: the
+    one-row `risk_rows`, at n = process.n unless given."""
+    row = (process.n if n is None else n, estimator, master_seed)
+    (report,) = risk_rows(process, [row], reference, trials, p, workers)
+    return report
 
 
 def envelope_check(estimate: PiecewisePolyDensity, gamma: float,

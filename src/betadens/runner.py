@@ -14,8 +14,7 @@ from .errors import ConfigError
 from .estimators import histogram_estimate, kernel_estimate
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import ProcessKind, ProcessSpec, generate
-from .risk import (HistogramSpec, gaussian, loglog_slope, monte_carlo_risk,
-                   two_level)
+from .risk import HistogramSpec, gaussian, loglog_slope, risk_rows, two_level
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
 from .svg import SvgFigure
 
@@ -108,16 +107,12 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
 def _risk_sweep_rows(config: ExperimentConfig):
     process = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=max(config.n_grid),
                           seed=0, burn_in=config.burn_in)
-    reference = two_level()
-    rows = []
-    for n in config.n_grid:
-        m = histogram_bins_bv(n, config.bins_constant)
-        report = monte_carlo_risk(process, HistogramSpec(m=m), reference, n=n,
-                                  trials=config.trials, p=config.p,
-                                  master_seed=_row_seed(config.master_seed, n),
-                                  workers=config.threads)
-        rows.append((n, m, report.mean_risk, report.std_error))
-    return rows
+    ms = [histogram_bins_bv(n, config.bins_constant) for n in config.n_grid]
+    rows = [(n, HistogramSpec(m=m), _row_seed(config.master_seed, n))
+            for n, m in zip(config.n_grid, ms)]
+    reports = risk_rows(process, rows, two_level(), trials=config.trials, p=config.p,
+                        workers=config.threads)
+    return [(r.n, m, r.mean_risk, r.std_error) for r, m in zip(reports, ms)]
 
 
 def _risk_table_sweep(config: ExperimentConfig, out: Path) -> list[Path]:

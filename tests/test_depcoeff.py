@@ -4,7 +4,6 @@ import pytest
 from betadens import (CapacityError, DomainError, b0_exact, b0_staircase_scan,
                       beta1_estimate, beta2_pair_lower_bound, conditional_atoms,
                       piecewise_quantile)
-from betadens.depcoeff import b0_pair_grid_lower_bound
 
 
 class TestConditionalAtoms:
@@ -114,12 +113,14 @@ class TestPairLowerBounds:
             val = beta2_pair_lower_bound(i, j, grid=64, x0_nodes=9)
             assert 0.0 <= val <= 2.0**-j + 1e-9
 
-    def test_pointwise_grid_bound(self):
-        val = b0_pair_grid_lower_bound(0.3, 3, 1, grid=64)
-        assert 0.0 <= val <= 0.5 + 1e-9
-
     def test_requires_ordered_indices(self):
+        for i, j in ((2, 2), (1, 2), (3, 0)):
+            with pytest.raises(DomainError):
+                beta2_pair_lower_bound(i, j, grid=8, x0_nodes=3)
+
+    def test_rejects_too_many_paths_and_no_nodes(self):
+        # 2^17 paths per node; raised before anything is allocated
+        with pytest.raises(CapacityError):
+            beta2_pair_lower_bound(17, 2)
         with pytest.raises(DomainError):
-            b0_pair_grid_lower_bound(0.3, 2, 2)
-        with pytest.raises(DomainError):
-            b0_pair_grid_lower_bound(0.3, 1, 2)
+            beta2_pair_lower_bound(3, 2, grid=8, x0_nodes=0)

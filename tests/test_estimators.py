@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError,
                       PiecewisePolyDensity, ProcessKind, ProcessSpec, Sample,
-                      build_poly_basis, estimate_mass, evaluate,
+                      build_poly_basis, estimate_mass, evaluate, generate,
                       histogram_estimate, kernel_estimate, projection_estimate,
                       silverman_bandwidth)
 from betadens.estimators import _GATHER_ELEMENTS
@@ -173,7 +173,34 @@ class TestHistogram:
         assert estimate_mass(est) == pytest.approx(0.5, abs=1e-12)
 
 
+def _projection_oracle(values, m, basis):
+    # every degree as a weighted bincount, Q_1 = 1 included
+    xi = values[(values > 0.0) & (values <= 1.0)]
+    coeffs = np.zeros((basis.degree + 1, m))
+    if len(xi):
+        j = np.ceil(xi * m).astype(int)
+        q = basis.eval_all(m * xi - (j - 1))
+        for i in range(basis.degree + 1):
+            coeffs[i] = np.bincount(j - 1, weights=q[i], minlength=m)
+        coeffs *= np.sqrt(m) / len(values)
+    return coeffs
+
+
 class TestProjection:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_counts_equal_weighted_oracle(self, degree):
+        basis = build_poly_basis(degree)
+        chain = generate(ProcessSpec(ProcessKind.AR1_PIECEWISE, n=20000, seed=4)).values
+        samples = ([0.0, 1.0, 0.5, 1.0, 0.25, 0.0],    # the bin edges 0 and 1
+                   [-0.3, 1.7, 0.4, 2.0, 0.999, 1.0],   # values outside (0, 1]
+                   [-1.0, 0.0, 1.5],                    # no inside values
+                   np.random.default_rng(17).random(1000), chain)
+        for values in samples:
+            values = np.asarray(values, dtype=float)
+            for m in (1, 4, 13, 47):
+                est = projection_estimate(_sample(values), m, basis)
+                assert np.array_equal(est.coeffs, _projection_oracle(values, m, basis))
+
     def test_degree_zero_equals_counting_histogram(self):
         rng = np.random.default_rng(11)
         values = rng.random(200)

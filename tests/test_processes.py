@@ -231,8 +231,10 @@ class TestSpecValidation:
             ProcessSpec(ProcessKind.AR1_BINARY, n=10, mu=0.0, sigma2=1.0)
         with pytest.raises(DomainError):
             ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=10, mu=0.0)
-        with pytest.raises(DomainError):
-            ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=10, mu=0.0, sigma2=-1.0)
+        for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
+                           (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=10, mu=mu, sigma2=sigma2)
 
     def test_sample_is_immutable(self):
         s = ar1_binary_chain(10, seed=0)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
-                      ProcessSpec, binning_bias, build_poly_basis,
+                      ProcessSpec, TrialError, binning_bias, build_poly_basis,
                       envelope_check, gaussian,
                       histogram_estimate, loglog_slope, lp_distance,
-                      monte_carlo_risk, step_density, two_level, uniform01)
+                      monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
 from betadens import Sample
 from betadens.config import load_config
 from betadens.risk import _trial_risk
@@ -169,6 +169,12 @@ class TestLpDistance:
         with pytest.raises(DomainError):
             lp_distance(est, two_level(), 1.0, domain=(1.0, 0.0))
 
+    def test_gaussian_reference_rejects_bad_parameters(self):
+        for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
+                           (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                gaussian(mu, sigma2)
+
     def test_reference_step_masses(self):
         for ref in (uniform01(), two_level()):
             breaks, values = ref.step_representation()
@@ -288,6 +294,27 @@ class TestMonteCarlo:
         with pytest.raises(BetadensError, match=r"trial 1 \(seed 0\)"):
             monte_carlo_risk(self.SPEC, HistogramSpec(m=0), two_level(),
                              trials=2, master_seed=1, workers=2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ns=st.lists(st.sampled_from([300, 700, 1200, 1500]), min_size=1, max_size=4,
+                       unique=True),
+           trials=st.sampled_from([1, 2, 5, 7]), workers=st.sampled_from([1, 2, 3]))
+    def test_rows_equal_per_row_serial_runs(self, ns, trials, workers):
+        # one map over every row: chunks straddle row boundaries, yet each
+        # row's report equals its own serial run
+        rows = [(n, HistogramSpec(m=5 + r), 1000 * r + n) for r, n in enumerate(ns)]
+        reports = risk_rows(self.SPEC, rows, two_level(), trials=trials, workers=workers)
+        assert [r.n for r in reports] == ns
+        for report, (n, estimator, seed) in zip(reports, rows):
+            serial = monte_carlo_risk(self.SPEC, estimator, two_level(), n=n,
+                                      trials=trials, master_seed=seed)
+            assert report.per_trial == serial.per_trial
+            assert report == serial
+
+    def test_failing_later_row_names_its_trial(self):
+        rows = [(1500, HistogramSpec(m=11), 3), (1000, HistogramSpec(m=0), 5)]
+        with pytest.raises(TrialError, match=r"trial 1 \(seed 4\)"):
+            risk_rows(self.SPEC, rows, two_level(), trials=3, workers=2)
 
 
 class TestEnvelope:

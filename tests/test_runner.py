@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from betadens import ConfigError, histogram_bins_lsv
+from betadens import ConfigError, histogram_bins_lsv, risk
 from betadens.cli import main
 from betadens.config import EXPERIMENTS, load_config, parse_config, serialize_config
 from betadens.csvio import read_csv
@@ -29,6 +29,22 @@ class TestExperiments:
         assert header == ["n", "m", "mean_risk", "std_error"]
         assert [int(r[0]) for r in rows] == [1000, 2000, 3000]
         assert [int(r[1]) for r in rows] == [10, 12, 14]
+
+    def test_risk_table_sweep_starts_one_pool(self, tmp_path, monkeypatch):
+        started = []
+
+        class CountingPool(risk.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", CountingPool)
+        files = _run("experiment = risk-table-sweep\nn_grid = 1000,2000,3000\n"
+                     "trials = 4\nmaster_seed = 7\nthreads = 2\n", tmp_path)
+        assert started == [2]
+        serial = _run("experiment = risk-table-sweep\nn_grid = 1000,2000,3000\n"
+                      "trials = 4\nmaster_seed = 7\n", tmp_path / "serial")
+        assert files[0].read_bytes() == serial[0].read_bytes()
 
     def test_kernel_gaussian_figure(self, tmp_path):
         files = _run("experiment = kernel-gaussian-figure\nn = 400\nmu = 10\n"
