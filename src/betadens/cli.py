@@ -2,7 +2,7 @@
 
     betadens run <config> [--seed S] [--out DIR] [--trials N] [--threads T]
     betadens table <config> [same overrides]     # sweep + print the CSV
-    betadens coeffs --k-max K [--quad-nodes Q] [--out DIR]
+    betadens coeffs [--k-max K] [--quad-nodes Q] [--out DIR]
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def main(argv=None) -> int:
     _add_overrides(table_p)
 
     coeffs_p = sub.add_parser("coeffs", help="dependence coefficient report")
-    coeffs_p.add_argument("--k-max", type=int, default=20)
-    coeffs_p.add_argument("--quad-nodes", type=int, default=64)
-    coeffs_p.add_argument("--out", default="out")
+    defaults = ExperimentConfig(experiment="coefficient-report")
+    coeffs_p.add_argument("--k-max", type=int, default=defaults.k_max)
+    coeffs_p.add_argument("--quad-nodes", type=int, default=defaults.quad_nodes)
+    coeffs_p.add_argument("--out", default=defaults.out_dir)
 
     args = parser.parse_args(argv)
     try:

@@ -1,8 +1,10 @@
 """Flat key=value experiment configurations.
 
 One experiment per file; lines are `key = value`, blank lines and `#`
-comments are ignored.  Unknown keys are rejected, as are experiments with
-missing required keys, so a config names everything the run depends on.
+comments are ignored.  Unknown keys are rejected.  `validate_config` checks
+every config before it runs, whether parsed, overridden or built in code:
+each required key of its experiment (a key with no default) must be set,
+and every value must lie in range.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ _SCHEMA = {
     "histogram-two-level-figure": ({"n"},
                                    {"m", "bins_constant", "master_seed", "out_dir",
                                     "burn_in"}),
-    "risk-table-sweep": ({"n_grid", "trials"},
-                         {"p", "bins_constant", "master_seed", "threads", "out_dir",
-                          "burn_in"}),
-    "risk-slope-plot": ({"n_grid", "trials"},
-                        {"p", "bins_constant", "master_seed", "threads", "out_dir",
-                         "loglog", "burn_in"}),
+    "risk-table-sweep": ({"n_grid"},
+                         {"trials", "p", "bins_constant", "master_seed", "threads",
+                          "out_dir", "burn_in"}),
+    "risk-slope-plot": ({"n_grid"},
+                        {"trials", "p", "bins_constant", "master_seed", "threads",
+                         "out_dir", "loglog", "burn_in"}),
     "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "out_dir", "burn_in"}),
-    "coefficient-report": ({"k_max"}, {"quad_nodes", "out_dir"}),
+    "coefficient-report": (set(), {"k_max", "quad_nodes", "out_dir"}),
 }
 
 EXPERIMENTS = tuple(_SCHEMA)
@@ -114,27 +116,32 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "experiment" not in pairs:
         raise ConfigError("missing required key 'experiment'")
-    experiment = pairs["experiment"]
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; have {EXPERIMENTS}")
-
-    required, optional = _SCHEMA[experiment]
-    for key in pairs:
-        if key not in {"experiment"} | required | optional:
-            raise ConfigError(f"key {key!r} does not belong to experiment {experiment!r}")
-    missing = required - set(pairs)
-    if missing:
-        raise ConfigError(f"experiment {experiment!r} is missing keys {sorted(missing)}")
-
-    config = ExperimentConfig(experiment=experiment)
+    config = ExperimentConfig(experiment=pairs.pop("experiment"))
+    required, optional = _schema(config.experiment)
     for key, raw in pairs.items():
-        if key != "experiment":
-            setattr(config, key, _convert(key, raw))
-    _validate(config)
+        if key not in required | optional:
+            raise ConfigError(
+                f"key {key!r} does not belong to experiment {config.experiment!r}")
+        setattr(config, key, _convert(key, raw))
+    validate_config(config)
     return config
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _schema(experiment: str):
+    try:
+        return _SCHEMA[experiment]
+    except KeyError:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; have {EXPERIMENTS}") from None
+
+
+def validate_config(config: ExperimentConfig) -> None:
+    """Raise ConfigError unless `config` names a known experiment, sets each of
+    its required keys and keeps every value in range."""
+    required, _ = _schema(config.experiment)
+    missing = sorted(key for key in required if getattr(config, key) is None)
+    if missing:
+        raise ConfigError(f"experiment {config.experiment!r} is missing keys {missing}")
     if config.bandwidth != "silverman":
         try:
             h = float(config.bandwidth)
@@ -154,14 +161,19 @@ def _validate(config: ExperimentConfig) -> None:
     if not (math.isfinite(config.bins_constant) and config.bins_constant > 0.0):
         raise ConfigError(
             f"bins_constant must be a finite number > 0, got {config.bins_constant}")
+    if config.m is not None and config.m < 1:
+        raise ConfigError(f"m must be >= 1, got {config.m}")
     if config.grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {config.grid_points}")
     if config.trials < 1:
-        raise ConfigError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {config.trials}")
     if config.threads < 1:
-        raise ConfigError("threads must be >= 1")
+        raise ConfigError(f"threads must be >= 1, got {config.threads}")
+    if config.k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {config.k_max}")
     if not 0 <= config.master_seed < 2**64:
-        raise ConfigError("master_seed must be an unsigned 64-bit integer")
+        raise ConfigError(
+            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -170,7 +182,7 @@ def load_config(path) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical, re-parseable text form (only keys that matter are kept)."""
-    required, optional = _SCHEMA[config.experiment]
+    required, optional = _schema(config.experiment)
     keep = {"experiment"} | required | optional
     lines = []
     for f in fields(config):

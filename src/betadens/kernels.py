@@ -47,9 +47,6 @@ class KernelSpec:
     def support_radius(self) -> float:
         return max(-self.kinks[0], self.kinks[-1])
 
-    def __call__(self, u):
-        return self.eval(u)
-
 
 EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov,
                           total_variation=1.5, l1_norm=1.0, kinks=(-1.0, 1.0))

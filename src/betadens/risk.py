@@ -235,18 +235,18 @@ def _trial_risk(task) -> float:
             f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
 
 
-def risk_rows(process: ProcessSpec, rows, reference: ReferenceDensity,
-              trials: int = 300, p: float = 1.0, workers: int = 1) -> list[RiskReport]:
-    """One RiskReport per row (n, estimator spec, master_seed), all on one pool.
+def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1.0,
+              workers: int = 1) -> list[RiskReport]:
+    """One RiskReport per row (process spec, estimator spec), all on one pool.
 
-    Trial t of a row runs on seed master_seed XOR t; the trials of every row
-    go through one map in row then trial order, and each row is reduced from
-    its own slice, so the reports do not depend on `workers`.
+    Trial t of a row runs its spec on seed spec.seed XOR t; the trials of
+    every row go through one map in row then trial order, and each row is
+    reduced from its own slice, so the reports do not depend on `workers`.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
-    tasks = [(t, replace(process, n=n, seed=seed ^ t), estimator, reference, p)
-             for n, estimator, seed in rows for t in range(1, trials + 1)]
+    tasks = [(t, replace(spec, seed=spec.seed ^ t), estimator, reference, p)
+             for spec, estimator in rows for t in range(1, trials + 1)]
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -254,23 +254,22 @@ def risk_rows(process: ProcessSpec, rows, reference: ReferenceDensity,
     else:
         values = [_trial_risk(task) for task in tasks]
     reports = []
-    for r, (n, _, _) in enumerate(rows):
+    for r, (spec, _) in enumerate(rows):
         row = values[r * trials:(r + 1) * trials]
         arr = np.asarray(row)
         se = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        reports.append(RiskReport(n=n, trials=trials, p=p, mean_risk=float(arr.mean()),
+        reports.append(RiskReport(n=spec.n, trials=trials, p=p, mean_risk=float(arr.mean()),
                                   std_error=se, per_trial=tuple(row)))
     return reports
 
 
 def monte_carlo_risk(process: ProcessSpec, estimator: EstimatorSpec,
-                     reference: ReferenceDensity, n: int | None = None,
-                     trials: int = 300, p: float = 1.0, master_seed: int = 1,
-                     workers: int = 1) -> RiskReport:
+                     reference: ReferenceDensity, trials: int = 300, p: float = 1.0,
+                     master_seed: int = 1, workers: int = 1) -> RiskReport:
     """Mean integrated |f_n - f|^p over seeded independent trials: the
-    one-row `risk_rows`, at n = process.n unless given."""
-    row = (process.n if n is None else n, estimator, master_seed)
-    (report,) = risk_rows(process, [row], reference, trials, p, workers)
+    one-row `risk_rows` of `process` on seed master_seed."""
+    (report,) = risk_rows([(replace(process, seed=master_seed), estimator)], reference,
+                          trials, p, workers)
     return report
 
 

@@ -7,14 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, validate_config
 from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
-from .errors import ConfigError
-from .estimators import histogram_estimate, kernel_estimate
-from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import ProcessKind, ProcessSpec, generate
-from .risk import HistogramSpec, gaussian, loglog_slope, risk_rows, two_level
+from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, gaussian,
+                   loglog_slope, risk_rows, two_level)
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
 from .svg import SvgFigure
 
@@ -26,29 +24,19 @@ def _row_seed(master_seed: int, n: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
-    """Execute one experiment; returns the files written."""
+    """Validate and execute one experiment; returns the files written."""
+    validate_config(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS.get(config.experiment)
-    if runner is None:
-        raise ConfigError(f"unknown experiment {config.experiment!r}")
-    return runner(config, out)
-
-
-def _bandwidth_for(config: ExperimentConfig, sample) -> float:
-    if config.bandwidth == "silverman":
-        return silverman_bandwidth(sample)
-    return float(config.bandwidth)
+    return _RUNNERS[config.experiment](config, out)
 
 
 def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_GAUSSIAN, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in,
                        mu=config.mu, sigma2=config.sigma2)
-    sample = generate(spec)
-    kernel = kernel_by_name(config.kernel)
-    h = _bandwidth_for(config, sample)
-    estimate = kernel_estimate(sample, kernel, h)
+    bandwidth = None if config.bandwidth == "silverman" else float(config.bandwidth)
+    estimate = build_estimate(generate(spec), KernelEstimatorSpec(config.kernel, bandwidth))
     ref = gaussian(config.mu, config.sigma2)
     sigma = math.sqrt(config.sigma2)
     grid = np.linspace(config.mu - 4.0 * sigma, config.mu + 4.0 * sigma,
@@ -61,7 +49,8 @@ def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
                         ["x", "estimate", "true_density"],
                         [(float(x), float(e), float(t))
                          for x, e, t in zip(grid, est_vals, true_vals)])
-    fig = SvgFigure(title=f"{kernel.name} kernel estimate, n={config.n}, h={h:.4g}",
+    fig = SvgFigure(title=f"{estimate.kernel.name} kernel estimate, n={config.n}, "
+                          f"h={estimate.bandwidth:.4g}",
                     xlabel="x", ylabel="density")
     top = 1.1 * max(est_vals.max(), true_vals.max())
     fig.set_limits((grid[0], grid[-1]), (0.0, top))
@@ -71,19 +60,19 @@ def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     return [csv_path, svg_path]
 
 
-def _histogram_figure(out: Path, stem: str, sample, m: int, column: str,
+def _histogram_figure(out: Path, stem: str, estimate, column: str,
                       density, title: str, overlay_x, overlay_y) -> list[Path]:
-    """Histogram of `sample` on m bins: CSV rows with `density` at each bin
-    midpoint, and an SVG of the bars under the overlay curve."""
-    estimate = histogram_estimate(sample, m)
+    """A histogram estimate: CSV rows with `density` at each bin midpoint, and
+    an SVG of the bars under the overlay curve, titled with its bin count."""
     heights = estimate.bin_values()
     edges = estimate.breakpoints()
     at_mid = density((edges[:-1] + edges[1:]) / 2.0)
     csv_path = emit_csv(out / f"{stem}.csv",
                         ["bin", "left", "right", "height", column],
                         [(j + 1, float(edges[j]), float(edges[j + 1]),
-                          float(heights[j]), float(at_mid[j])) for j in range(m)])
-    fig = SvgFigure(title=title, xlabel="x", ylabel="density")
+                          float(heights[j]), float(at_mid[j]))
+                         for j in range(estimate.m)])
+    fig = SvgFigure(title=f"{title}, m={estimate.m}", xlabel="x", ylabel="density")
     fig.set_limits((0.0, 1.0), (0.0, 1.1 * max(float(heights.max()),
                                                float(overlay_y.max()))))
     fig.add_bars(edges, heights)
@@ -94,25 +83,25 @@ def _histogram_figure(out: Path, stem: str, sample, m: int, column: str,
 def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
-    m = config.m if config.m is not None else histogram_bins_bv(config.n, config.bins_constant)
+    estimate = build_estimate(generate(spec), HistogramSpec(config.m, config.bins_constant))
     reference = two_level()
     breaks, values = reference.step_representation()
     return _histogram_figure(
-        out, f"histogram_two_level_n{config.n}", generate(spec), m,
+        out, f"histogram_two_level_n{config.n}", estimate,
         "true_density_at_mid", reference.pdf,
-        f"histogram, two-level density, n={config.n}, m={m}",
+        f"histogram, two-level density, n={config.n}",
         np.repeat(breaks, 2)[1:-1], np.repeat(values, 2))
 
 
 def _risk_sweep_rows(config: ExperimentConfig):
-    process = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=max(config.n_grid),
-                          seed=0, burn_in=config.burn_in)
-    ms = [histogram_bins_bv(n, config.bins_constant) for n in config.n_grid]
-    rows = [(n, HistogramSpec(m=m), _row_seed(config.master_seed, n))
-            for n, m in zip(config.n_grid, ms)]
-    reports = risk_rows(process, rows, two_level(), trials=config.trials, p=config.p,
+    rows = [(ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=n,
+                         seed=_row_seed(config.master_seed, n), burn_in=config.burn_in),
+             HistogramSpec(m=histogram_bins_bv(n, config.bins_constant)))
+            for n in config.n_grid]
+    reports = risk_rows(rows, two_level(), trials=config.trials, p=config.p,
                         workers=config.threads)
-    return [(r.n, m, r.mean_risk, r.std_error) for r, m in zip(reports, ms)]
+    return [(r.n, estimator.m, r.mean_risk, r.std_error)
+            for r, (_, estimator) in zip(reports, rows)]
 
 
 def _risk_table_sweep(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -164,9 +153,10 @@ def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     # midpoint column does, so it sets the same y range
     curve_x = np.linspace(1.0 / (2.0 * m), 1.0, 512)
     return _histogram_figure(
-        out, f"lsv_histogram_gamma{gamma_tag}_n{config.n}", generate(spec), m,
+        out, f"lsv_histogram_gamma{gamma_tag}_n{config.n}",
+        build_estimate(generate(spec), HistogramSpec(m)),
         "equivalent_density_at_mid", lambda x: equivalent_density(x, config.gamma),
-        f"invariant density, gamma={config.gamma}, n={config.n}, m={m}",
+        f"invariant density, gamma={config.gamma}, n={config.n}",
         curve_x, equivalent_density(curve_x, config.gamma))
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+_WIDTH = 720
+_HEIGHT = 540
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 42.0
@@ -22,9 +24,7 @@ def _f(v: float) -> str:
 class SvgFigure:
     """A single set of linear axes with bars, curves and point markers."""
 
-    def __init__(self, width=720, height=540, title="", xlabel="", ylabel=""):
-        self.width = width
-        self.height = height
+    def __init__(self, title="", xlabel="", ylabel=""):
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
@@ -41,21 +41,21 @@ class SvgFigure:
     def _px(self, x: float) -> float:
         lo, hi = self._xlim
         frac = (x - lo) / (hi - lo)
-        return _MARGIN_LEFT + frac * (self.width - _MARGIN_LEFT - _MARGIN_RIGHT)
+        return _MARGIN_LEFT + frac * (_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT)
 
     def _py(self, y: float) -> float:
         lo, hi = self._ylim
         frac = (y - lo) / (hi - lo)
-        return self.height - _MARGIN_BOTTOM - frac * (self.height - _MARGIN_TOP - _MARGIN_BOTTOM)
+        return _HEIGHT - _MARGIN_BOTTOM - frac * (_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM)
 
-    def add_bars(self, edges, heights, fill="#9ecae1", stroke="#3182bd"):
+    def add_bars(self, edges, heights):
         base = self._py(max(self._ylim[0], 0.0))
         for left, right, h in zip(edges[:-1], edges[1:], heights):
             x0, x1 = self._px(left), self._px(right)
             y = self._py(h)
             self._elements.append(
                 f'<rect x="{_f(x0)}" y="{_f(min(y, base))}" width="{_f(x1 - x0)}" '
-                f'height="{_f(abs(base - y))}" fill="{fill}" stroke="{stroke}" '
+                f'height="{_f(abs(base - y))}" fill="#9ecae1" stroke="#3182bd" '
                 f'stroke-width="0.8"/>')
 
     def add_curve(self, xs, ys, stroke="#cc0000", width=1.6):
@@ -64,11 +64,11 @@ class SvgFigure:
             f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{_f(width)}"/>')
 
-    def add_points(self, xs, ys, fill="#000000", radius=2.6):
+    def add_points(self, xs, ys):
         for x, y in zip(xs, ys):
             self._elements.append(
                 f'<circle cx="{_f(self._px(x))}" cy="{_f(self._py(y))}" '
-                f'r="{_f(radius)}" fill="{fill}"/>')
+                f'r="2.6" fill="#000000"/>')
 
     def _axes(self) -> list[str]:
         x0, x1 = self._px(self._xlim[0]), self._px(self._xlim[1])
@@ -94,10 +94,10 @@ class SvgFigure:
             parts.append(f'<text x="{_f(x0 - 8)}" y="{_f(py + 4)}" font-family="monospace" '
                          f'font-size="11" text-anchor="end">{ty:.4g}</text>')
         if self.title:
-            parts.append(f'<text x="{_f(self.width / 2)}" y="24" font-family="monospace" '
+            parts.append(f'<text x="{_f(_WIDTH / 2)}" y="24" font-family="monospace" '
                          f'font-size="14" text-anchor="middle">{self.title}</text>')
         if self.xlabel:
-            parts.append(f'<text x="{_f((x0 + x1) / 2)}" y="{_f(self.height - 14)}" '
+            parts.append(f'<text x="{_f((x0 + x1) / 2)}" y="{_f(_HEIGHT - 14)}" '
                          f'font-family="monospace" font-size="12" '
                          f'text-anchor="middle">{self.xlabel}</text>')
         if self.ylabel:
@@ -110,9 +110,8 @@ class SvgFigure:
         body = "\n".join(self._axes() + self._elements)
         return (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>\n'
+            f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
+            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>\n'
             f"{body}\n</svg>\n"
         )
 

@@ -10,6 +10,7 @@ exact-breaks protocol cannot match those rows and what was tried.
 import math
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_criterion_9_variance_scaling():
     for k in range(12, 18):
         n = 2**k
         report = bd.monte_carlo_risk(
-            process, bd.HistogramSpec(m=8), reference, n=n, trials=200, p=2.0,
+            replace(process, n=n), bd.HistogramSpec(m=8), reference, trials=200, p=2.0,
             master_seed=(master ^ (n * 0x9E3779B97F4A7C15)) % 2**64,
             workers=WORKERS)
         points.append((n, report.mean_risk))

@@ -1,8 +1,12 @@
-import pytest
+from dataclasses import replace
 
-from betadens import ConfigError
-from betadens.config import (load_config, parse_config, parse_n_grid,
-                             serialize_config)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from betadens import KERNELS, ConfigError
+from betadens.config import (_SCHEMA, EXPERIMENTS, ExperimentConfig, load_config,
+                             parse_config, parse_n_grid, serialize_config)
 from betadens.csvio import emit_csv, format_float, read_csv
 
 SWEEP_TEXT = """
@@ -14,6 +18,32 @@ master_seed = 42
 p = 1
 threads = 8
 """
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(0.0, exclude_min=True, **_FINITE)
+# a valid value for every config key
+_KEY_VALUES = {
+    "n": st.integers(1, 10**8),
+    "n_grid": st.lists(st.integers(1, 10**8), min_size=1, max_size=25).map(tuple),
+    "trials": st.integers(1, 10**4),
+    "master_seed": st.integers(0, 2**64 - 1),
+    "p": st.floats(1.0, **_FINITE),
+    "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "mu": st.floats(**_FINITE),
+    "sigma2": _POSITIVE,
+    "kernel": st.sampled_from(sorted(KERNELS)),
+    "bandwidth": st.one_of(st.just("silverman"), _POSITIVE.map(repr)),
+    "m": st.integers(1, 10**4),
+    "bins_constant": _POSITIVE,
+    "threads": st.integers(1, 64),
+    "grid_points": st.integers(2, 10**5),
+    "k_max": st.integers(1, 64),
+    "quad_nodes": st.integers(16, 512),
+    "burn_in": st.integers(0, 10**6),
+    "loglog": st.booleans(),
+    "out_dir": st.text("abcxyz0123456789_-./", min_size=1, max_size=20),
+}
 
 
 class TestParse:
@@ -62,6 +92,12 @@ class TestParse:
             with pytest.raises(ConfigError, match="bins_constant must be a finite number"):
                 parse_config("experiment = risk-table-sweep\nn_grid = 10,20\ntrials = 2\n"
                              f"bins_constant = {value}\n")
+        for value in ("0", "-2"):
+            with pytest.raises(ConfigError, match="k_max must be >= 1"):
+                parse_config(f"experiment = coefficient-report\nk_max = {value}\n")
+        for value in ("0", "-3"):
+            with pytest.raises(ConfigError, match="m must be >= 1"):
+                parse_config(f"experiment = histogram-two-level-figure\nn = 10\nm = {value}\n")
         for value in ("0", "1", "-4"):
             with pytest.raises(ConfigError, match="grid_points must be >= 2"):
                 parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
@@ -109,16 +145,17 @@ class TestSerializeRoundTrip:
         assert again == cfg
         assert serialize_config(again) == text
 
-    def test_round_trip_each_experiment(self):
-        samples = {
-            "kernel-gaussian-figure": "experiment = kernel-gaussian-figure\nn = 1000\nmu = 10\nsigma2 = 2\n",
-            "histogram-two-level-figure": "experiment = histogram-two-level-figure\nn = 5000\n",
-            "risk-slope-plot": "experiment = risk-slope-plot\nn_grid = 10,20\ntrials = 2\nloglog = true\n",
-            "lsv-histogram-figure": "experiment = lsv-histogram-figure\nn = 400\ngamma = 0.75\n",
-            "coefficient-report": "experiment = coefficient-report\nk_max = 5\n",
-        }
-        for text in samples.values():
-            cfg = parse_config(text)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_each_experiment(self, data):
+        # every experiment, each required key set and each optional key set
+        # or left at its default, every value valid
+        for experiment in EXPERIMENTS:
+            required, optional = _SCHEMA[experiment]
+            values = data.draw(st.fixed_dictionaries(
+                {key: _KEY_VALUES[key] for key in sorted(required)},
+                optional={key: _KEY_VALUES[key] for key in sorted(optional)}))
+            cfg = replace(ExperimentConfig(experiment=experiment), **values)
             assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -131,6 +168,10 @@ class TestCsv:
         assert format_float(-0.25) == "-0.2500000000"
         assert format_float(1e-9) == "0.000000001000000000"
         assert format_float(12345678912.0) == "12345678910.0"
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_format_float_reads_back_as_ten_digit_rounding(self, x):
+        assert float(format_float(x)) == float(f"{x:.9e}")
 
     def test_report_row_format(self, tmp_path):
         path = emit_csv(tmp_path / "t.csv", ["n", "mean_risk"], [(5000, 0.0477)])

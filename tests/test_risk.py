@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ def _merge_oracle(estimate, reference, p, lo, hi):
 
 
 _heights = st.floats(0.0, 4.0)
+_histograms = st.lists(_heights, min_size=1, max_size=40).map(_hist_from_heights)
+
+
+def _step_of(histogram):
+    return step_density(histogram.breakpoints(), histogram.bin_values())
 
 
 @st.composite
@@ -125,30 +131,21 @@ class TestLpDistance:
         assert lp_distance(est, two_level(), 2.0) == pytest.approx(
             0.5 * 1.5**2 + 0.5 * 0.25, abs=1e-14)
 
-    def test_symmetry_through_step_reference(self):
-        rng = np.random.default_rng(23)
-        a = rng.uniform(0.0, 2.0, size=8)
-        b = rng.uniform(0.0, 2.0, size=12)
-        est_a = _hist_from_heights(a)
-        est_b = _hist_from_heights(b)
-        ref_a = step_density(np.arange(9) / 8, a)
-        ref_b = step_density(np.arange(13) / 12, b)
-        d_ab = lp_distance(est_a, ref_b, 1.0)
-        d_ba = lp_distance(est_b, ref_a, 1.0)
-        assert d_ab == pytest.approx(d_ba, abs=1e-14)
+    @settings(max_examples=200, deadline=None)
+    @given(a=_histograms, b=_histograms, p=st.floats(1.0, 4.0))
+    def test_symmetry_through_step_reference(self, a, b, p):
+        assert lp_distance(a, _step_of(b), p).hex() == lp_distance(b, _step_of(a), p).hex()
 
-    def test_triangle_inequality_on_step_triples(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            f = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 20)))
-            g = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 20)))
-            h = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 20)))
-            ref_g = step_density(np.linspace(0, 1, len(g) + 1), g)
-            ref_h = step_density(np.linspace(0, 1, len(h) + 1), h)
-            d_fh = lp_distance(_hist_from_heights(f), ref_h, 1.0)
-            d_fg = lp_distance(_hist_from_heights(f), ref_g, 1.0)
-            d_gh = lp_distance(_hist_from_heights(g), ref_h, 1.0)
-            assert d_fh <= d_fg + d_gh + 1e-10
+    @settings(max_examples=200, deadline=None)
+    @given(f=_histograms, g=_histograms, h=_histograms)
+    def test_triangle_inequality_on_step_triples(self, f, g, h):
+        d_fh = lp_distance(f, _step_of(h), 1.0)
+        d_fg = lp_distance(f, _step_of(g), 1.0)
+        d_gh = lp_distance(g, _step_of(h), 1.0)
+        # each distance sums its pieces left to right, a few roundings per
+        # piece, and a pair of histograms has at most m + m' pieces
+        ulps = 8 * (f.m + g.m + h.m)
+        assert d_fh <= d_fg + d_gh + ulps * math.ulp(d_fg + d_gh)
 
     def test_quadrature_path_for_kernel_estimates(self):
         from betadens import EPANECHNIKOV, kernel_estimate
@@ -263,8 +260,8 @@ class TestMonteCarlo:
         assert a == b
 
     def test_bin_schedule_applied_when_m_unset(self):
-        rep = monte_carlo_risk(self.SPEC, HistogramSpec(), two_level(),
-                               n=1000, trials=2, master_seed=3)
+        rep = monte_carlo_risk(replace(self.SPEC, n=1000), HistogramSpec(), two_level(),
+                               trials=2, master_seed=3)
         assert rep.n == 1000    # schedule floor(1000^(1/3)) = 10 exercised inside
 
     def test_kernel_estimator_route(self):
@@ -302,19 +299,21 @@ class TestMonteCarlo:
     def test_rows_equal_per_row_serial_runs(self, ns, trials, workers):
         # one map over every row: chunks straddle row boundaries, yet each
         # row's report equals its own serial run
-        rows = [(n, HistogramSpec(m=5 + r), 1000 * r + n) for r, n in enumerate(ns)]
-        reports = risk_rows(self.SPEC, rows, two_level(), trials=trials, workers=workers)
+        rows = [(replace(self.SPEC, n=n, seed=1000 * r + n), HistogramSpec(m=5 + r))
+                for r, n in enumerate(ns)]
+        reports = risk_rows(rows, two_level(), trials=trials, workers=workers)
         assert [r.n for r in reports] == ns
-        for report, (n, estimator, seed) in zip(reports, rows):
-            serial = monte_carlo_risk(self.SPEC, estimator, two_level(), n=n,
-                                      trials=trials, master_seed=seed)
+        for report, (spec, estimator) in zip(reports, rows):
+            serial = monte_carlo_risk(spec, estimator, two_level(), trials=trials,
+                                      master_seed=spec.seed)
             assert report.per_trial == serial.per_trial
             assert report == serial
 
     def test_failing_later_row_names_its_trial(self):
-        rows = [(1500, HistogramSpec(m=11), 3), (1000, HistogramSpec(m=0), 5)]
+        rows = [(replace(self.SPEC, seed=3), HistogramSpec(m=11)),
+                (replace(self.SPEC, n=1000, seed=5), HistogramSpec(m=0))]
         with pytest.raises(TrialError, match=r"trial 1 \(seed 4\)"):
-            risk_rows(self.SPEC, rows, two_level(), trials=3, workers=2)
+            risk_rows(rows, two_level(), trials=3, workers=2)
 
 
 class TestEnvelope:

@@ -1,3 +1,4 @@
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 from betadens import ConfigError, histogram_bins_lsv, risk
 from betadens.cli import main
-from betadens.config import EXPERIMENTS, load_config, parse_config, serialize_config
+from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_config,
+                             serialize_config)
 from betadens.csvio import read_csv
 from betadens.runner import _RUNNERS, run_experiment
 
@@ -78,6 +80,17 @@ class TestExperiments:
         _, summary = read_csv([p for p in files if p.name.endswith("summary.csv")][0])
         slope = float(summary[0][0])
         assert -1.0 < slope < 0.1
+
+    @pytest.mark.parametrize("experiment, missing", [
+        ("kernel-gaussian-figure", "['mu', 'n', 'sigma2']"),
+        ("histogram-two-level-figure", "['n']"),
+        ("risk-table-sweep", "['n_grid']"),
+        ("risk-slope-plot", "['n_grid']"),
+        ("lsv-histogram-figure", "['gamma', 'n']")])
+    def test_config_built_in_code_names_missing_keys(self, tmp_path, experiment, missing):
+        with pytest.raises(ConfigError, match=re.escape(f"missing keys {missing}")):
+            run_experiment(ExperimentConfig(experiment=experiment), out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
 
     def test_coefficient_report(self, tmp_path):
         files = _run("experiment = coefficient-report\nk_max = 4\n", tmp_path)
@@ -156,11 +169,27 @@ class TestCli:
                 ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
                  "bandwidth = nan\n", "bandwidth must be 'silverman' or a number"),
                 ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
-                 "bandwidth = inf\n", "bandwidth must be 'silverman' or a number")):
+                 "bandwidth = inf\n", "bandwidth must be 'silverman' or a number"),
+                ("experiment = coefficient-report\nk_max = 0\n", "k_max must be >= 1"),
+                ("experiment = lsv-histogram-figure\nn = 100\ngamma = 0.5\nm = 0\n",
+                 "m must be >= 1")):
             cfg.write_text(text)
             assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err
+        # overrides meet the same checks as config values, before any work
+        cfg.write_text("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\n")
+        for argv, named in (
+                (["run", str(cfg), "--seed", str(2**64)], "master_seed"),
+                (["run", str(cfg), "--seed", "-1"], "master_seed"),
+                (["table", str(cfg), "--threads", "0"], "threads"),
+                (["run", str(cfg), "--threads", "-3"], "threads"),
+                (["run", str(cfg), "--trials", "0"], "trials"),
+                (["coeffs", "--k-max", "0"], "k_max")):
+            assert main(argv + ["--out", str(tmp_path / "override")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "override").exists()
 
     def test_config_error_type(self):
         with pytest.raises(ConfigError):
