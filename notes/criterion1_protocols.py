@@ -5,7 +5,7 @@ Prints the tables of notes/decisions.md:
     PYTHONPATH=src python notes/criterion1_protocols.py [--table risk_table.csv]
 
 Without --table it first runs configs/table_risk_sweep.cfg (300 trials a row,
-about 15 s on two cores).  The lower bound and the candidate protocols use the
+8-11 s on two cores).  The lower bound and the candidate protocols use the
 first 60 trials of every row, on the sweep's own seeds.
 """
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .kernels import KERNELS
 
 # experiment -> (required keys, optional keys); `experiment` itself is implied
 _SCHEMA = {
@@ -150,6 +151,8 @@ def validate_config(config: ExperimentConfig) -> None:
         if not 0.0 < h < math.inf:
             raise ConfigError("bandwidth must be 'silverman' or a number, finite and > 0, "
                               f"got {config.bandwidth!r}")
+    if config.kernel.lower() not in KERNELS:
+        raise ConfigError(f"unknown kernel {config.kernel!r}; have {sorted(KERNELS)}")
     if config.gamma is not None and not 0.0 < config.gamma < 1.0:
         raise ConfigError(f"gamma must lie in (0, 1), got {config.gamma}")
     if config.mu is not None and not math.isfinite(config.mu):

@@ -145,19 +145,18 @@ def projection_estimate(sample: Sample, m: int, basis: PolyBasis) -> PiecewisePo
     if m < 1:
         raise DomainError(f"bin count must be >= 1, got {m}")
     values = sample.values
-    n = len(values)
-    inside = (values > 0.0) & (values <= 1.0)
-    xi = values[inside]
-    coeffs = np.zeros((basis.degree + 1, m))
-    if len(xi):
-        idx = np.ceil(xi * m).astype(int) - 1
+    coeffs = np.empty((basis.degree + 1, m))
+    with np.errstate(over="ignore"):
+        # bin j of ((j-1)/m, j/m]; bins 0 (x <= 0) and m + 1 (x > 1, NaN) are
+        # dropped, and their t is clipped to [0, 1] (or NaN) to raise no warning
+        j = np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
         # Q_1 = 1, so the degree-0 coefficients are plain counts
-        coeffs[0] = np.bincount(idx, minlength=m)
+        coeffs[0] = np.bincount(j, minlength=m + 2)[1:-1]
         if basis.degree:
-            q = basis.eval_all(m * xi - idx)
+            q = basis.eval_all(np.clip(m * values - (j - 1), 0.0, 1.0))
             for i in range(1, basis.degree + 1):
-                coeffs[i] = np.bincount(idx, weights=q[i], minlength=m)
-        coeffs *= np.sqrt(m) / n
+                coeffs[i] = np.bincount(j, weights=q[i], minlength=m + 2)[1:-1]
+    coeffs *= np.sqrt(m) / len(values)
     return PiecewisePolyDensity(m=m, coeffs=coeffs, basis=basis)
 
 

@@ -24,6 +24,7 @@ from .errors import DomainError
 from .normal import norm_ppf
 
 DEFAULT_BURN_IN = 1000
+_BLOCK = 8192  # values per block of piecewise_quantile_transform
 
 
 class ProcessKind(enum.Enum):
@@ -95,44 +96,57 @@ def ar1_step(x: float, eps: int) -> float:
     return 0.5 * (x + eps)
 
 
+def _register_value(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """(hi 2^32 + lo) 2^-64 rounded once to nearest-even, as float(register) 2^-64 is."""
+    out = lo * 2.0**-32
+    out += hi
+    return np.multiply(out, 2.0**-32, out=out)
+
+
 def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> Sample:
     """Sample the dyadic AR(1) chain after discarding `burn_in` steps.
 
     The recursion X_{k+1} = (X_k + eps_{k+1})/2 prepends each innovation bit
     to the binary expansion of the state, so the k-th iterate is the 64-bit
     sliding window over one bit stream: the 64 bits of the uniform initial
-    state, as innovations at times -64 ... -1, followed by the innovations.
-    The chain is evaluated in 64-bit fixed point: each value is within 2^-64
-    of the exact real recursion.  The windows are built in place by
-    log-doubling, six vectorized shift-or passes instead of a scalar loop.
+    state, as innovations at times -64 ... -1, followed by the innovations
+    (the top bit of each 32-bit half of a raw Philox word, low half first,
+    as `integers(0, 2)` draws them).  Log-doubling shift-or passes on uint8,
+    uint16 and uint32 build the 32-bit windows W; value k is the register
+    W[k] 2^32 + W[k-32] times 2^-64, rounded once (`_register_value`), so it
+    is within 2^-64 of the exact real recursion.
     """
     spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
     rng = _rng(seed)
     x0 = np.uint64(int(rng.random() * 2.0**64))
     total = burn_in + n
-    reg = np.empty(64 + total, dtype=np.uint64)
-    reg[:64] = (x0 >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    reg[64:] = rng.integers(0, 2, size=total, dtype=np.uint64)
-    reg <<= np.uint64(63)
+    words = rng.bit_generator.random_raw((total + 1) // 2).astype("<u8", copy=False)
+    bits = np.empty(64 + total, dtype=np.uint8)
+    bits[:64] = ((x0 >> np.arange(64, dtype=np.uint64)) & np.uint64(1)) << np.uint64(7)
+    # innovation j: the top bit of byte 3 of the j-th little-endian 32-bit half
+    bits[64:] = words.view(np.uint8)[3::4][:total] & 0x80
     # after the pass with shift s, each entry holds the latest 2s bits
-    for s in (1, 2, 4, 8, 16, 32):
-        reg[s:] |= reg[:-s] >> np.uint64(s)
-
-    values = reg[64 + burn_in:].astype(np.float64) * 2.0**-64
+    for s in (1, 2, 4):
+        bits[s:] |= bits[:-s] >> s
+    w16 = bits[8:].astype(np.uint16)    # entry i: window at position i + 8
+    w16 <<= 8
+    w16 |= bits[:-8]
+    w32 = w16[16:].astype(np.uint32)    # entry i: window at position i + 24
+    w32 <<= 16
+    w32 |= w16[:-16]
+    values = _register_value(w32[40 + burn_in:], w32[8 + burn_in:8 + burn_in + n])
     return Sample(values=values, spec=spec)
 
 
 def gaussian_quantile_transform(sample: Sample, mu: float, sigma2: float) -> Sample:
     """Map a uniform-marginal sample through the N(mu, sigma2) quantile."""
-    if sigma2 <= 0.0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    spec = replace(sample.spec, kind=ProcessKind.AR1_GAUSSIAN, mu=mu, sigma2=sigma2)
     values = sample.values
     if np.any(values <= 0.0) or np.any(values >= 1.0):
         raise DomainError("gaussian transform needs values strictly inside (0, 1)")
     sigma = math.sqrt(sigma2)
     out = np.fromiter((mu + sigma * norm_ppf(u) for u in values),
                       dtype=float, count=len(values))
-    spec = replace(sample.spec, kind=ProcessKind.AR1_GAUSSIAN, mu=mu, sigma2=sigma2)
     return Sample(values=out, spec=spec)
 
 
@@ -149,10 +163,14 @@ def piecewise_quantile(u):
 
 
 def piecewise_quantile_transform(sample: Sample) -> Sample:
+    """piecewise_quantile block by block, so that its temporaries stay in cache."""
     values = sample.values
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise DomainError("piecewise transform needs values in [0, 1]")
-    out = piecewise_quantile(values)
+    out = np.empty_like(values)
+    for start in range(0, len(values), _BLOCK):
+        block = values[start:start + _BLOCK]
+        if np.any(block < 0.0) or np.any(block > 1.0):
+            raise DomainError("piecewise transform needs values in [0, 1]")
+        out[start:start + _BLOCK] = piecewise_quantile(block)
     spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
     return Sample(values=out, spec=spec)
 

@@ -112,11 +112,15 @@ class TestParse:
                 ("sigma2", "inf", "sigma2 must be a finite number > 0"),
                 ("bandwidth", "nan", "bandwidth must be 'silverman' or a number"),
                 ("bandwidth", "inf", "bandwidth must be 'silverman' or a number"),
-                ("bandwidth", "-inf", "bandwidth must be 'silverman' or a number")):
+                ("bandwidth", "-inf", "bandwidth must be 'silverman' or a number"),
+                ("kernel", "foo", "unknown kernel 'foo'")):
             keys = {"mu": "0", "sigma2": "1", key: value}
             with pytest.raises(ConfigError, match=named):
                 parse_config("experiment = kernel-gaussian-figure\nn = 10\n"
                              + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        # kernel names are matched case-insensitively, as kernel_by_name does
+        assert parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
+                            "sigma2 = 1\nkernel = Triangular\n").kernel == "Triangular"
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -187,6 +187,7 @@ def _projection_oracle(values, m, basis):
 
 
 class TestProjection:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_counts_equal_weighted_oracle(self, degree):
         basis = build_poly_basis(degree)
@@ -194,10 +195,15 @@ class TestProjection:
         samples = ([0.0, 1.0, 0.5, 1.0, 0.25, 0.0],    # the bin edges 0 and 1
                    [-0.3, 1.7, 0.4, 2.0, 0.999, 1.0],   # values outside (0, 1]
                    [-1.0, 0.0, 1.5],                    # no inside values
+                   [np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 0.5],
                    np.random.default_rng(17).random(1000), chain)
-        for values in samples:
-            values = np.asarray(values, dtype=float)
-            for m in (1, 4, 13, 47):
+        for m in (1, 4, 13, 47):
+            # every bin edge j/m with both neighbours, among other values
+            edges = np.arange(m + 1) / m
+            edges = np.concatenate([np.nextafter(edges, -np.inf), edges,
+                                    np.nextafter(edges, np.inf), [np.nan, np.inf, 0.3]])
+            for values in samples + (edges,):
+                values = np.asarray(values, dtype=float)
                 est = projection_estimate(_sample(values), m, basis)
                 assert np.array_equal(est.coeffs, _projection_oracle(values, m, basis))
 

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from betadens import (DomainError, ProcessKind, ProcessSpec, Sample,
                       ar1_binary_chain, ar1_step, gaussian_quantile_transform,
                       generate, lsv_step, lsv_trajectory, piecewise_quantile,
                       piecewise_quantile_transform)
 from betadens import processes
-from betadens.processes import _rng
+from betadens.processes import _BLOCK, _register_value, _rng
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -37,12 +40,34 @@ def _chain_oracle(n: int, burn_in: int, seed: int) -> np.ndarray:
 class TestAr1Chain:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_log_doubled_window_matches_per_position_passes(self, seed):
-        for n in (1, 63, 64, 65, 2000):
+        # burn-ins 0 and 1 give odd and even totals: the last raw Philox word
+        # is used by its low half only, or in full
+        for n in (1, 63, 64, 65, 2000, 8191, 8192, 8193):
             for burn_in in (0, 1, 63, 1000):
                 got = ar1_binary_chain(n, burn_in=burn_in, seed=seed).values
                 want = _chain_oracle(n, burn_in, seed)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
                     (n, burn_in)
+        # the size of a sweep trial
+        got = ar1_binary_chain(110_000, burn_in=1000, seed=seed).values
+        assert np.array_equal(got.view(np.uint64),
+                              _chain_oracle(110_000, 1000, seed).view(np.uint64))
+
+    @given(reg=st.integers(0, 2**64 - 1))
+    @example(reg=0)
+    @example(reg=2**63 - 1)
+    @example(reg=2**63)
+    @example(reg=2**64 - 1)
+    @example(reg=((2**52 + 1) << 11) | 2**10)     # a tie, rounded up to even
+    @example(reg=(2**52 << 11) | 2**10)           # a tie, rounded down to even
+    def test_two_halves_round_like_the_64_bit_register(self, reg):
+        hi = np.array([reg >> 32], dtype=np.uint32)
+        lo = np.array([reg & 0xFFFFFFFF], dtype=np.uint32)
+        want = (float(reg) * 2**-64).hex()
+        assert float(_register_value(hi, lo)[0]).hex() == want
+        # and so does the uint64 conversion that the oracle uses
+        as_uint64 = np.array([reg], dtype=np.uint64).astype(np.float64)[0]
+        assert float(as_uint64 * 2**-64).hex() == want
 
     def test_single_step_recursion(self):
         assert ar1_step(0.5, 1) == 0.75
@@ -109,6 +134,23 @@ class TestTransforms:
             with pytest.raises(DomainError):
                 gaussian_quantile_transform(s, 0.0, 1.0)
 
+    def test_gaussian_checks_parameters_before_any_quantile(self, monkeypatch):
+        calls = []
+
+        def counting_ppf(u):
+            calls.append(u)
+            return 0.0
+
+        monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
+        s = ar1_binary_chain(1000, seed=2)
+        for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
+                           (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
+            with pytest.raises(DomainError, match="need a finite mu and sigma2"):
+                gaussian_quantile_transform(s, mu, sigma2)
+        assert calls == []
+        gaussian_quantile_transform(s, 0.0, 1.0)
+        assert len(calls) == 1000
+
     def test_gaussian_run_survives_rounded_registers(self, monkeypatch):
         # registers 0 and >= 2^64 - 2^10 convert to exactly 0.0 and 1.0
         def chain(n, burn_in, seed):
@@ -139,11 +181,33 @@ class TestTransforms:
         for u in np.concatenate([rng.random(200), [0.01, 0.12, 0.13, 0.87, 0.88, 0.99]]):
             assert cdf(float(piecewise_quantile(u))) == pytest.approx(u, abs=1e-12)
 
+    def test_piecewise_blocks_equal_one_call(self):
+        specials = [0.0, 5e-324, 1.0]
+        for edge in (0.125, 0.875):
+            specials += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        samples = [ar1_binary_chain(n, seed=n).values
+                   for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)]
+        # the special values once on their own and once across a block boundary
+        across = samples[-1].copy()
+        across[_BLOCK - 5:_BLOCK + 4] = specials
+        for values in samples + [np.array(specials), across]:
+            spec = ProcessSpec(ProcessKind.AR1_BINARY, n=len(values), seed=0)
+            got = piecewise_quantile_transform(Sample(values=values, spec=spec)).values
+            want = piecewise_quantile(values)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), len(values)
+
     def test_piecewise_rejects_outside_unit_interval(self):
         spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=2, seed=0, mu=0.0, sigma2=1.0)
         s = Sample(values=np.array([0.5, 1.2]), spec=spec)
         with pytest.raises(DomainError):
             piecewise_quantile_transform(s)
+        # a bad value in a later block is found as well
+        for bad in (-0.5, 1.5):
+            values = np.full(3 * _BLOCK + 5, 0.5)
+            values[-1] = bad
+            spec = replace(spec, n=len(values))
+            with pytest.raises(DomainError, match="needs values in"):
+                piecewise_quantile_transform(Sample(values=values, spec=spec))
 
     def test_transform_updates_spec_kind(self):
         s = ar1_binary_chain(50, seed=3)

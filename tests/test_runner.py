@@ -170,6 +170,8 @@ class TestCli:
                  "bandwidth = nan\n", "bandwidth must be 'silverman' or a number"),
                 ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
                  "bandwidth = inf\n", "bandwidth must be 'silverman' or a number"),
+                ("experiment = kernel-gaussian-figure\nn = 100\nmu = 0\nsigma2 = 1\n"
+                 "kernel = foo\n", "unknown kernel 'foo'"),
                 ("experiment = coefficient-report\nk_max = 0\n", "k_max must be >= 1"),
                 ("experiment = lsv-histogram-figure\nn = 100\ngamma = 0.5\nm = 0\n",
                  "m must be >= 1")):
