@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .depcoeff import MAX_CLOSED_K
 from .errors import ConfigError
 from .kernels import KERNELS
 
@@ -143,6 +144,19 @@ def validate_config(config: ExperimentConfig) -> None:
     missing = sorted(key for key in required if getattr(config, key) is None)
     if missing:
         raise ConfigError(f"experiment {config.experiment!r} is missing keys {missing}")
+    if config.n is not None and config.n < 1:
+        raise ConfigError(f"n must be >= 1, got {config.n}")
+    if config.n_grid is not None:
+        if any(n < 1 for n in config.n_grid):
+            raise ConfigError(f"n_grid entries must be >= 1, got {config.n_grid}")
+        if len(set(config.n_grid)) < len(config.n_grid):
+            # a repeated n would rerun the identical row on the identical seed
+            raise ConfigError(f"n_grid entries must be distinct, got {config.n_grid}")
+        if config.experiment == "risk-slope-plot" and len(config.n_grid) < 3:
+            raise ConfigError("risk-slope-plot fits a slope to at least 3 n_grid "
+                              f"entries, got {len(config.n_grid)}")
+    if config.burn_in < 0:
+        raise ConfigError(f"burn_in must be >= 0, got {config.burn_in}")
     if config.bandwidth != "silverman":
         try:
             h = float(config.bandwidth)
@@ -172,8 +186,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"trials must be >= 1, got {config.trials}")
     if config.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
-    if config.k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {config.k_max}")
+    if not 1 <= config.k_max <= MAX_CLOSED_K:
+        raise ConfigError(f"k_max must be >= 1 and <= {MAX_CLOSED_K}, got {config.k_max}")
+    if config.quad_nodes < 16:
+        raise ConfigError(f"quad_nodes must be >= 16, got {config.quad_nodes}")
     if not 0 <= config.master_seed < 2**64:
         raise ConfigError(
             f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}")

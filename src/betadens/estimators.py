@@ -1,8 +1,8 @@
 """Density estimators: kernel smoothing and piecewise-polynomial projection.
 
-Both estimators are immutable value objects; evaluation is vectorized and a
-shared `evaluate` helper dispatches on the variant.  Histograms are the
-degree-0 special case of the projection estimator.
+Both estimators are immutable value objects with vectorized `evaluate`
+methods; the module-level `evaluate` helper only unwraps scalar queries.
+Histograms are the degree-0 special case of the projection estimator.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ DensityEstimate = KernelDensity | PiecewisePolyDensity
 def kernel_estimate(sample: Sample, kernel: KernelSpec, h: float) -> KernelDensity:
     if not 0.0 < h < np.inf:
         raise DomainError(f"bandwidth must be positive and finite, got {h}")
-    if len(sample) == 0:
-        raise DomainError("cannot estimate from an empty sample")
     return KernelDensity(sorted_values=sample.values, kernel=kernel, bandwidth=h)
 
 

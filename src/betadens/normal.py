@@ -65,7 +65,7 @@ def norm_ppf(p: float) -> float:
     for _ in range(2):
         # Newton on g(x) = log Phi(x) - log p; the step is
         # g(x) * Phi(x)/phi(x), assembled in log space to avoid overflow.
-        phi_cdf = 0.5 * math.erfc(-x / math.sqrt(2.0))
+        phi_cdf = norm_cdf(x)
         if phi_cdf <= 0.0:
             break
         log_cdf = math.log(phi_cdf)

@@ -79,9 +79,10 @@ class Sample:
         if len(values) != self.spec.n:
             raise DomainError(
                 f"sample has {len(values)} values but spec.n = {self.spec.n}")
-        if self.spec.kind in (ProcessKind.AR1_BINARY, ProcessKind.LSV_TRAJECTORY):
-            if len(values) and (values.min() < 0.0 or values.max() > 1.0):
-                raise DomainError(f"{self.spec.kind.value} samples live in [0, 1]")
+        # one min/max pair over the whole array; a NaN fails the comparison
+        if self.spec.kind is not ProcessKind.AR1_GAUSSIAN and not (
+                0.0 <= values.min() and values.max() <= 1.0):
+            raise DomainError(f"{self.spec.kind.value} samples live in [0, 1]")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -142,7 +143,7 @@ def gaussian_quantile_transform(sample: Sample, mu: float, sigma2: float) -> Sam
     """Map a uniform-marginal sample through the N(mu, sigma2) quantile."""
     spec = replace(sample.spec, kind=ProcessKind.AR1_GAUSSIAN, mu=mu, sigma2=sigma2)
     values = sample.values
-    if np.any(values <= 0.0) or np.any(values >= 1.0):
+    if not (0.0 < values.min() and values.max() < 1.0):
         raise DomainError("gaussian transform needs values strictly inside (0, 1)")
     sigma = math.sqrt(sigma2)
     out = np.fromiter((mu + sigma * norm_ppf(u) for u in values),
@@ -165,13 +166,12 @@ def piecewise_quantile(u):
 def piecewise_quantile_transform(sample: Sample) -> Sample:
     """piecewise_quantile block by block, so that its temporaries stay in cache."""
     values = sample.values
+    if not (0.0 <= values.min() and values.max() <= 1.0):
+        raise DomainError("piecewise transform needs values in [0, 1]")
+    spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
     out = np.empty_like(values)
     for start in range(0, len(values), _BLOCK):
-        block = values[start:start + _BLOCK]
-        if np.any(block < 0.0) or np.any(block > 1.0):
-            raise DomainError("piecewise transform needs values in [0, 1]")
-        out[start:start + _BLOCK] = piecewise_quantile(block)
-    spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
+        out[start:start + _BLOCK] = piecewise_quantile(values[start:start + _BLOCK])
     return Sample(values=out, spec=spec)
 
 
@@ -211,17 +211,13 @@ def lsv_trajectory(n: int, gamma: float, burn_in: int = DEFAULT_BURN_IN,
     rng = _rng(seed)
     x = rng.random()
     scale = 2.0**gamma
-    out = np.empty(n)
-    for k in range(burn_in):
-        x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
-        if x > 1.0:
-            x = 1.0
-    for k in range(n):
+    out = np.empty(burn_in + n)
+    for k in range(burn_in + n):
         x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
         if x > 1.0:
             x = 1.0
         out[k] = x
-    return Sample(values=out, spec=spec)
+    return Sample(values=out[burn_in:], spec=spec)
 
 
 def generate(spec: ProcessSpec) -> Sample:

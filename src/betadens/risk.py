@@ -137,33 +137,28 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
         raise DomainError(f"domain must be a finite nonempty interval, got {domain}")
 
     step = reference.step_representation()
-    if isinstance(estimate, PiecewisePolyDensity) and estimate.degree == 0 and step is not None:
-        eb = estimate.breakpoints()
-        rb, rv = step
-        cuts = np.unique(np.concatenate([
-            [lo, hi],
-            eb[(eb > lo) & (eb < hi)],
-            rb[(rb > lo) & (rb < hi)],
-        ]))
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        gaps = np.abs(_step_value(eb, estimate.bin_values(), mids)
-                      - _step_value(rb, rv, mids))
-        # Python's float power and a left-to-right sum: numpy's power rounds
-        # differently for p != 1, and a numpy sum would reorder the additions
-        total = 0.0
-        for gap, width in zip(gaps.tolist(), np.diff(cuts).tolist()):
-            total += gap ** p * width
-        return total
-
+    exact = (isinstance(estimate, PiecewisePolyDensity) and estimate.degree == 0
+             and step is not None)
     eb = estimate.breakpoints()
-    if len(eb) > _MAX_QUAD_PANELS:
+    if not exact and len(eb) > _MAX_QUAD_PANELS:
         eb = np.linspace(eb[0], eb[-1], _MAX_QUAD_PANELS + 1)
     rb = reference.breakpoints()
-    edges = np.unique(np.concatenate([
+    cuts = np.unique(np.concatenate([
         [lo, hi], eb[(eb > lo) & (eb < hi)], rb[(rb > lo) & (rb < hi)],
     ]))
-    integrand = lambda x: np.abs(estimate.evaluate(x) - reference.pdf(x)) ** p
-    return integrate_adaptive(integrand, edges, tol=1e-8)
+    if not exact:
+        integrand = lambda x: np.abs(estimate.evaluate(x) - reference.pdf(x)) ** p
+        return integrate_adaptive(integrand, cuts, tol=1e-8)
+
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    gaps = np.abs(_step_value(eb, estimate.bin_values(), mids)
+                  - _step_value(rb, step[1], mids))
+    # Python's float power and a left-to-right sum: numpy's power rounds
+    # differently for p != 1, and a numpy sum would reorder the additions
+    total = 0.0
+    for gap, width in zip(gaps.tolist(), np.diff(cuts).tolist()):
+        total += gap ** p * width
+    return total
 
 
 def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:

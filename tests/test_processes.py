@@ -163,6 +163,26 @@ class TestTransforms:
         assert np.all(np.isfinite(y))
         assert y[0] < y[1] == 10.0 < y[2]
 
+    @pytest.mark.parametrize("position", [0, -1, _BLOCK + 3])
+    def test_transforms_reject_nan_before_any_quantile(self, monkeypatch, position):
+        calls = []
+
+        def counting_ppf(u):
+            calls.append(u)
+            return 0.0
+
+        monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
+        values = np.full(2 * _BLOCK, 0.5)
+        values[position] = math.nan
+        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0, mu=0.0,
+                           sigma2=1.0)
+        s = Sample(values=values, spec=spec)
+        with pytest.raises(DomainError, match="strictly inside"):
+            gaussian_quantile_transform(s, 0.0, 1.0)
+        with pytest.raises(DomainError, match="needs values in"):
+            piecewise_quantile_transform(s)
+        assert calls == []
+
     def test_piecewise_branch_values(self):
         assert piecewise_quantile(0.5) == pytest.approx(0.5, abs=1e-15)
         assert piecewise_quantile(0.125) == pytest.approx(0.25, abs=1e-15)
@@ -243,13 +263,14 @@ class TestLsvMap:
 
     def test_trajectory_equals_folded_steps(self):
         seed, gamma, n = 12, 0.6, 400
-        s = lsv_trajectory(n, gamma, burn_in=0, seed=seed)
-        x = np.random.Generator(np.random.Philox(key=seed)).random()
-        manual = []
-        for _ in range(n):
-            x = lsv_step(x, gamma)
-            manual.append(x)
-        assert np.array_equal(s.values, np.array(manual))
+        for burn_in in (0, 1, 37):
+            s = lsv_trajectory(n, gamma, burn_in=burn_in, seed=seed)
+            x = np.random.Generator(np.random.Philox(key=seed)).random()
+            manual = []
+            for _ in range(burn_in + n):
+                x = lsv_step(x, gamma)
+                manual.append(x)
+            assert np.array_equal(s.values, np.array(manual[burn_in:])), burn_in
 
     def test_values_in_unit_interval(self):
         s = lsv_trajectory(5000, 0.75, seed=8)
@@ -317,6 +338,19 @@ class TestSpecValidation:
         lsv = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=1, seed=0, gamma=0.5)
         with pytest.raises(DomainError):
             Sample(values=np.array([-0.1]), spec=lsv)
+
+    @pytest.mark.parametrize("kind, gamma", [(ProcessKind.AR1_BINARY, None),
+                                             (ProcessKind.AR1_PIECEWISE, None),
+                                             (ProcessKind.LSV_TRAJECTORY, 0.5)])
+    @pytest.mark.parametrize("position", [0, -1, _BLOCK + 3])
+    def test_unit_interval_kinds_reject_nan(self, kind, gamma, position):
+        values = np.full(2 * _BLOCK, 0.5)
+        values[position] = math.nan
+        spec = ProcessSpec(kind, n=len(values), seed=0, gamma=gamma)
+        with pytest.raises(DomainError, match=r"samples live in \[0, 1\]"):
+            Sample(values=values, spec=spec)
+        with pytest.raises(DomainError, match=r"samples live in \[0, 1\]"):
+            Sample(values=[math.nan, 0.5], spec=replace(spec, n=2))
 
     def test_seed_must_be_unsigned_64_bit(self):
         with pytest.raises(DomainError):

@@ -193,6 +193,33 @@ class TestCli:
             assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "override").exists()
 
+    @pytest.mark.parametrize("values, named", [
+        (dict(experiment="histogram-two-level-figure", n=0), "n must be >= 1"),
+        (dict(experiment="risk-table-sweep", n_grid=(500, 0)), "n_grid entries must be >= 1"),
+        (dict(experiment="risk-slope-plot", n_grid=(500, 1000, -5)),
+         "n_grid entries must be >= 1"),
+        (dict(experiment="lsv-histogram-figure", n=100, gamma=0.5, burn_in=-1),
+         "burn_in must be >= 0"),
+        (dict(experiment="coefficient-report", quad_nodes=15), "quad_nodes must be >= 16"),
+        (dict(experiment="coefficient-report", k_max=41), "k_max must be >= 1 and <= 40"),
+        (dict(experiment="risk-table-sweep", n_grid=(500, 700, 500)),
+         "n_grid entries must be distinct"),
+        (dict(experiment="risk-slope-plot", n_grid=(500, 500, 500)),
+         "n_grid entries must be distinct"),
+        (dict(experiment="risk-slope-plot", n_grid=(500, 1000)), "at least 3 n_grid entries")])
+    def test_out_of_range_value_refused_before_any_work(self, tmp_path, capsys, values,
+                                                        named):
+        config = ExperimentConfig(**values)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(config, out_dir=out)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(serialize_config(config))
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
     def test_config_error_type(self):
         with pytest.raises(ConfigError):
             parse_config("experiment = risk-table-sweep\nn_grid = 10\ntrials = 0\n")
