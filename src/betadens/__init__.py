@@ -1,16 +1,16 @@
 """Density estimation lab for beta-dependent stationary sequences."""
 
 from .basis import PolyBasis, build_poly_basis
-from .depcoeff import (ConditionalAtomSet, b0_exact, b0_staircase_scan,
-                       beta1_estimate, beta2_pair_lower_bound, conditional_atoms)
+from .depcoeff import (b0_exact, b0_staircase_scan, beta1_estimate,
+                       beta2_pair_lower_bound, conditional_atoms)
 from .errors import (BetadensError, CapacityError, ConfigError, DegenerateSample,
                      DomainError, EmptyEstimate, TrialError, UnsupportedDegree)
 from .estimators import (DensityEstimate, KernelDensity, PiecewisePolyDensity,
-                         estimate_mass, evaluate, histogram_estimate,
-                         kernel_estimate, projection_estimate)
+                         estimate_mass, histogram_estimate, kernel_estimate,
+                         projection_estimate)
 from .kernels import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR, KernelSpec,
                       kernel_by_name, silverman_bandwidth)
-from .normal import norm_cdf, norm_pdf, norm_ppf
+from .normal import norm_cdf, norm_ppf
 from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, Sample,
                         ar1_binary_chain, ar1_step, gaussian_quantile_transform,
                         generate, lsv_step, lsv_trajectory, piecewise_quantile,

@@ -10,8 +10,6 @@ bound documents its size without claiming exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, DomainError
@@ -31,25 +29,13 @@ def _check_args(x0: float, k: int, limit: int) -> None:
         raise CapacityError(f"k = {k} exceeds the bound {limit} for this operation")
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalAtomSet:
-    """Law of X_k given X_0 = x0: 2^k equiprobable atoms on a dyadic lattice."""
-
-    x0: float
-    k: int
-    atoms: np.ndarray
-
-    @property
-    def probability(self) -> float:
-        return 2.0 ** -self.k
-
-
-def conditional_atoms(x0: float, k: int) -> ConditionalAtomSet:
-    """Enumerate the conditional law; k is capped at 24 (16M atoms)."""
+def conditional_atoms(x0: float, k: int) -> np.ndarray:
+    """Law of X_k given X_0 = x0: the 2^k equiprobable atoms (x0 + j) / 2^k,
+    read-only; k is capped at 24 (16M atoms)."""
     _check_args(x0, k, MAX_ENUM_K)
     atoms = (x0 + np.arange(2**k, dtype=float)) * 2.0**-k
     atoms.flags.writeable = False
-    return ConditionalAtomSet(x0=x0, k=k, atoms=atoms)
+    return atoms
 
 
 def b0_exact(x0: float, k: int) -> float:
@@ -65,9 +51,8 @@ def b0_exact(x0: float, k: int) -> float:
 
 def b0_staircase_scan(x0: float, k: int) -> float:
     """Same supremum by scanning every jump of the enumerated staircase."""
-    atom_set = conditional_atoms(x0, k)
-    atoms = atom_set.atoms
-    w = atom_set.probability
+    atoms = conditional_atoms(x0, k)
+    w = 2.0**-k
     below = np.arange(len(atoms)) * w       # F just below each jump
     at = below + w                          # F at the jump
     return float(np.maximum(atoms - below, at - atoms).max())
@@ -121,8 +106,8 @@ def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
         raise DomainError(f"need i > j >= 1, got ({i}, {j})")
     if i > MAX_PAIR_I:
         raise CapacityError(f"i = {i} exceeds the bound {MAX_PAIR_I} for this operation")
-    if x0_nodes < 1:
-        raise DomainError(f"need at least one x0 node, got {x0_nodes}")
+    if grid < 1 or x0_nodes < 1:
+        raise DomainError(f"need grid >= 1 and x0_nodes >= 1, got {grid}, {x0_nodes}")
     u, wu = gauss_legendre(x0_nodes)
     w = 0.5 * wu
     sums = [_pair_sum(x0, i, j, grid) for x0 in 0.5 * (u + 1.0)]

@@ -1,8 +1,8 @@
 """Density estimators: kernel smoothing and piecewise-polynomial projection.
 
 Both estimators are immutable value objects with vectorized `evaluate`
-methods; the module-level `evaluate` helper only unwraps scalar queries.
-Histograms are the degree-0 special case of the projection estimator.
+methods.  A projection estimate is its coefficient array alone: the degree
+and the bin count are its shape.  Histograms are the degree-0 special case.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import PolyBasis, build_poly_basis
+from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
 from .processes import Sample
@@ -84,22 +84,25 @@ class PiecewisePolyDensity:
     ((j-1)/m, j/m].
     """
 
-    m: int
     coeffs: np.ndarray
-    basis: PolyBasis
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.basis.degree + 1, self.m):
-            raise DomainError(f"coefficients must have shape (r+1, m), got {c.shape}")
+        if c.ndim != 2 or c.shape[1] == 0:
+            raise DomainError(f"coefficients must have shape (r+1, m), m >= 1, got {c.shape}")
+        build_poly_basis(c.shape[0] - 1)    # UnsupportedDegree unless 0 <= r <= 10
         if not np.all(np.isfinite(c)):
             raise DomainError("projection coefficients must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     @property
+    def m(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
     def degree(self) -> int:
-        return self.basis.degree
+        return self.coeffs.shape[0] - 1
 
     def breakpoints(self) -> np.ndarray:
         return np.arange(self.m + 1) / self.m
@@ -119,8 +122,8 @@ class PiecewisePolyDensity:
         xi = x[inside]
         j = np.ceil(xi * self.m).astype(int)      # 1-based bin, half-open right
         t = self.m * xi - (j - 1)
-        q = self.basis.eval_all(t)                # (r+1, k)
-        c = self.coeffs[:, j - 1]                 # (r+1, k)
+        q = build_poly_basis(self.degree).eval_all(t)    # (r+1, k)
+        c = self.coeffs[:, j - 1]                        # (r+1, k)
         out[inside] = np.sqrt(self.m) * np.sum(c * q, axis=0)
         return out
 
@@ -134,39 +137,35 @@ def kernel_estimate(sample: Sample, kernel: KernelSpec, h: float) -> KernelDensi
     return KernelDensity(sorted_values=sample.values, kernel=kernel, bandwidth=h)
 
 
-def projection_estimate(sample: Sample, m: int, basis: PolyBasis) -> PiecewisePolyDensity:
-    """Empirical projection coefficients c_{i,j} = (1/n) sum_k phi_{i,j}(Y_k).
+def projection_estimate(sample: Sample, m: int, degree: int) -> PiecewisePolyDensity:
+    """Empirical projection coefficients c_{i,j} = (1/n) sum_k phi_{i,j}(Y_k),
+    for the basis polynomials of degree <= `degree`.
 
     Sample values outside (0, 1] contribute zero, matching the zero extension
     of the base polynomials.
     """
     if m < 1:
         raise DomainError(f"bin count must be >= 1, got {m}")
+    basis = build_poly_basis(degree)
     values = sample.values
-    coeffs = np.empty((basis.degree + 1, m))
+    coeffs = np.empty((degree + 1, m))
     with np.errstate(over="ignore"):
         # bin j of ((j-1)/m, j/m]; bins 0 (x <= 0) and m + 1 (x > 1, NaN) are
         # dropped, and their t is clipped to [0, 1] (or NaN) to raise no warning
         j = np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
         # Q_1 = 1, so the degree-0 coefficients are plain counts
         coeffs[0] = np.bincount(j, minlength=m + 2)[1:-1]
-        if basis.degree:
+        if degree:
             q = basis.eval_all(np.clip(m * values - (j - 1), 0.0, 1.0))
-            for i in range(1, basis.degree + 1):
+            for i in range(1, degree + 1):
                 coeffs[i] = np.bincount(j, weights=q[i], minlength=m + 2)[1:-1]
     coeffs *= np.sqrt(m) / len(values)
-    return PiecewisePolyDensity(m=m, coeffs=coeffs, basis=basis)
+    return PiecewisePolyDensity(coeffs)
 
 
 def histogram_estimate(sample: Sample, m: int) -> PiecewisePolyDensity:
     """Regular histogram on ((j-1)/m, j/m], the degree-0 projection."""
-    return projection_estimate(sample, m, build_poly_basis(0))
-
-
-def evaluate(estimate: DensityEstimate, x):
-    """Pointwise value of an estimate; scalar in, scalar out."""
-    out = estimate.evaluate(x)
-    return float(out[0]) if np.isscalar(x) else out
+    return projection_estimate(sample, m, 0)
 
 
 def estimate_mass(estimate: DensityEstimate) -> float:

@@ -31,10 +31,6 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
-
-
 def _acklam(p: float) -> float:
     # valid for p in (0, 0.5]; callers reduce by symmetry
     if p < _P_LOW:

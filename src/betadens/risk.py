@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError, EmptyEstimate, TrialError
 from .estimators import PiecewisePolyDensity, histogram_estimate, kernel_estimate
-from .basis import build_poly_basis
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import ProcessSpec, Sample, generate
 from .quadrature import integrate_adaptive
@@ -92,10 +91,10 @@ def step_density(breaks, values) -> ReferenceDensity:
     values = tuple(float(v) for v in values)
     if len(breaks) != len(values) + 1:
         raise DomainError("need one more break than values")
+    if not all(map(math.isfinite, breaks + values)):
+        raise DomainError("breaks and step values must be finite")
     if any(b >= c for b, c in zip(breaks[:-1], breaks[1:])):
         raise DomainError("breaks must be strictly increasing")
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError("step values must be finite")
     return ReferenceDensity(kind="step", support=(breaks[0], breaks[-1]),
                             breaks=breaks, values=values)
 
@@ -105,8 +104,6 @@ class RiskReport:
     """Aggregate of one Monte Carlo risk experiment."""
 
     n: int
-    trials: int
-    p: float
     mean_risk: float
     std_error: float
     per_trial: tuple[float, ...]
@@ -121,6 +118,11 @@ def _step_value(breaks: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     return np.where(inside, values[idx], 0.0)
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"risk exponent must be >= 1 and finite, got {p}")
+
+
 def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
                 domain: tuple[float, float] | None = None) -> float:
     """integral over `domain` of |f_n - f|^p.
@@ -128,8 +130,7 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
     Exact (breakpoint merge) when both sides are step functions; adaptive
     Gauss-Legendre split at all known breakpoints otherwise.
     """
-    if p < 1.0:
-        raise DomainError(f"risk exponent must be >= 1, got {p}")
+    _check_exponent(p)
     if domain is None:
         domain = reference.support
     lo, hi = float(domain[0]), float(domain[1])
@@ -179,8 +180,7 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
     covered = np.clip(edges[:, None], breaks[:-1], breaks[1:]) - breaks[:-1]
     cdf = covered @ values
     heights = m * np.diff(cdf)
-    averaged = PiecewisePolyDensity(m=m, coeffs=(heights / math.sqrt(m))[None, :],
-                                    basis=build_poly_basis(0))
+    averaged = PiecewisePolyDensity((heights / math.sqrt(m))[None, :])
     lo, hi = reference.support
     return lp_distance(averaged, reference, p, domain=(min(lo, 0.0), max(hi, 1.0)))
 
@@ -237,9 +237,11 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
     Trial t of a row runs its spec on seed spec.seed XOR t; the trials of
     every row go through one map in row then trial order, and each row is
     reduced from its own slice, so the reports do not depend on `workers`.
+    A bad trial count or exponent raises DomainError before any trial runs.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
+    _check_exponent(p)
     tasks = [(t, replace(spec, seed=spec.seed ^ t), estimator, reference, p)
              for spec, estimator in rows for t in range(1, trials + 1)]
     if workers > 1 and len(tasks) > 1:
@@ -253,8 +255,8 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
         row = values[r * trials:(r + 1) * trials]
         arr = np.asarray(row)
         se = float(arr.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        reports.append(RiskReport(n=spec.n, trials=trials, p=p, mean_risk=float(arr.mean()),
-                                  std_error=se, per_trial=tuple(row)))
+        reports.append(RiskReport(n=spec.n, mean_risk=float(arr.mean()), std_error=se,
+                                  per_trial=tuple(row)))
     return reports
 
 
@@ -296,8 +298,8 @@ def loglog_slope(points) -> float:
     pts = [(float(n), float(r)) for n, r in points]
     if len(pts) < 3:
         raise DomainError(f"need at least 3 points, got {len(pts)}")
-    if any(n <= 0.0 or r <= 0.0 for n, r in pts):
-        raise DomainError("log-log regression needs positive coordinates")
+    if not all(0.0 < n < math.inf and 0.0 < r < math.inf for n, r in pts):
+        raise DomainError("log-log regression needs positive finite coordinates")
     x = np.log([n for n, _ in pts])
     y = np.log([r for _, r in pts])
     x_cent = x - x.mean()

@@ -50,6 +50,8 @@ def histogram_bins_bv(n: int, constant: float = 1.0) -> int:
     """floor(C * n^(1/3)), clamped to >= 1: the schedule for BV densities."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if not 0.0 < constant < math.inf:
+        raise DomainError(f"bin constant must be finite and > 0, got {constant}")
     return _floor_power(constant * float(n) ** (1.0 / 3.0))
 
 

@@ -190,8 +190,7 @@ def test_criterion_6_exact_merge_vs_quadrature():
         m = int(rng.integers(1, 50))
         heights = rng.uniform(0.0, 3.0, size=m)
         est_coeffs = (heights / math.sqrt(m)).reshape(1, m)
-        est = bd.PiecewisePolyDensity(m=m, coeffs=est_coeffs,
-                                      basis=bd.build_poly_basis(0))
+        est = bd.PiecewisePolyDensity(est_coeffs)
         pieces = int(rng.integers(1, 8))
         breaks = np.unique(np.concatenate([[0.0, 1.0], rng.random(pieces - 1)]))
         ref = bd.step_density(breaks, rng.uniform(0.0, 3.0, size=len(breaks) - 1))

@@ -8,24 +8,24 @@ from betadens import (CapacityError, DomainError, b0_exact, b0_staircase_scan,
 
 class TestConditionalAtoms:
     def test_one_step_from_zero(self):
-        atoms = conditional_atoms(0.0, 1).atoms
+        atoms = conditional_atoms(0.0, 1)
         assert np.array_equal(atoms, [0.0, 0.5])
 
     def test_two_steps_from_half(self):
-        atoms = conditional_atoms(0.5, 2).atoms
+        atoms = conditional_atoms(0.5, 2)
         assert np.allclose(atoms, [0.125, 0.375, 0.625, 0.875], atol=1e-15)
 
     def test_dyadic_lattice_spacing(self):
-        atoms = conditional_atoms(0.3, 3).atoms
+        atoms = conditional_atoms(0.3, 3)
         assert len(atoms) == 8
         assert np.allclose(np.diff(atoms), 0.125, atol=1e-15)
 
     def test_probabilities_sum_to_one(self):
-        atom_set = conditional_atoms(0.7, 10)
-        assert len(atom_set.atoms) * atom_set.probability == 1.0
+        atoms = conditional_atoms(0.7, 10)
+        assert len(atoms) * 2.0**-10 == 1.0
 
     def test_sorted_strictly_increasing_in_unit_interval(self):
-        atoms = conditional_atoms(0.9, 6).atoms
+        atoms = conditional_atoms(0.9, 6)
         assert np.all(np.diff(atoms) > 0)
         assert atoms[0] >= 0.0 and atoms[-1] < 1.0
 
@@ -72,7 +72,7 @@ class TestB0:
         rng = np.random.default_rng(5)
         for k in (1, 2, 5, 9):
             for x0 in rng.random(4):
-                atoms = conditional_atoms(x0, k).atoms
+                atoms = conditional_atoms(x0, k)
                 transformed = piecewise_quantile(atoms)
                 w = 2.0**-k
                 below = np.arange(len(atoms)) * w
@@ -124,3 +124,6 @@ class TestPairLowerBounds:
             beta2_pair_lower_bound(17, 2)
         with pytest.raises(DomainError):
             beta2_pair_lower_bound(3, 2, grid=8, x0_nodes=0)
+        for grid in (0, -1):
+            with pytest.raises(DomainError):
+                beta2_pair_lower_bound(2, 1, grid=grid, x0_nodes=3)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError,
                       PiecewisePolyDensity, ProcessKind, ProcessSpec, Sample,
-                      build_poly_basis, estimate_mass, evaluate, generate,
+                      UnsupportedDegree, build_poly_basis, estimate_mass, generate,
                       histogram_estimate, kernel_estimate, projection_estimate,
                       silverman_bandwidth)
 from betadens.estimators import _GATHER_ELEMENTS
@@ -82,12 +82,12 @@ class TestVectorizedEvaluate:
 class TestKernelEstimate:
     def test_single_point_at_center(self):
         est = kernel_estimate(_sample([0.0]), EPANECHNIKOV, 1.0)
-        assert evaluate(est, 0.0) == 0.75
+        assert est.evaluate(0.0)[0] == 0.75
 
     def test_single_point_outside_support(self):
         est = kernel_estimate(_sample([0.0]), EPANECHNIKOV, 1.0)
-        assert evaluate(est, 2.0) == 0.0
-        assert evaluate(est, -1.0001) == 0.0
+        assert est.evaluate(2.0)[0] == 0.0
+        assert est.evaluate(-1.0001)[0] == 0.0
 
     def test_rejects_nonpositive_bandwidth(self):
         for h in (0.0, -0.5, math.nan, math.inf, -math.inf):
@@ -111,7 +111,7 @@ class TestKernelEstimate:
         est = kernel_estimate(_sample(values), EPANECHNIKOV, h)
         for x in (0.0, 0.3, 0.77, 1.2):
             direct = np.mean(EPANECHNIKOV.eval((x - values) / h)) / h
-            assert evaluate(est, x) == pytest.approx(direct, rel=1e-12)
+            assert est.evaluate(x)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_breakpoints_list_every_kink(self):
         values = np.array([0.1, 0.4, 0.45])
@@ -141,24 +141,24 @@ class TestKernelEstimate:
 class TestHistogram:
     def test_counting_example(self):
         est = histogram_estimate(_sample([0.1, 0.3, 0.9]), 2)
-        assert evaluate(est, 0.25) == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert evaluate(est, 0.75) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert est.evaluate(0.25)[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert est.evaluate(0.75)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_zero_is_in_no_bin(self):
         est = histogram_estimate(_sample([0.1, 0.3, 0.9]), 2)
-        assert evaluate(est, 0.0) == 0.0
-        assert evaluate(est, -0.2) == 0.0
-        assert evaluate(est, 1.0001) == 0.0
+        assert est.evaluate(0.0)[0] == 0.0
+        assert est.evaluate(-0.2)[0] == 0.0
+        assert est.evaluate(1.0001)[0] == 0.0
 
     def test_half_open_bin_membership(self):
         est = histogram_estimate(_sample([0.5, 0.5, 1.0]), 2)
         # values at 0.5 land in bin 1 = (0, 1/2]; 1.0 lands in bin 2
-        assert evaluate(est, 0.5) == pytest.approx(2 * 2 / 3, abs=1e-12)
-        assert evaluate(est, 1.0) == pytest.approx(1 * 2 / 3, abs=1e-12)
+        assert est.evaluate(0.5)[0] == pytest.approx(2 * 2 / 3, abs=1e-12)
+        assert est.evaluate(1.0)[0] == pytest.approx(1 * 2 / 3, abs=1e-12)
 
     def test_empty_bin_is_zero(self):
         est = histogram_estimate(_sample([0.9, 0.95]), 4)
-        assert evaluate(est, 0.3) == 0.0
+        assert est.evaluate(0.3)[0] == 0.0
 
     def test_mass_one_for_unit_interval_samples(self):
         rng = np.random.default_rng(5)
@@ -204,14 +204,14 @@ class TestProjection:
                                     np.nextafter(edges, np.inf), [np.nan, np.inf, 0.3]])
             for values in samples + (edges,):
                 values = np.asarray(values, dtype=float)
-                est = projection_estimate(_sample(values), m, basis)
+                est = projection_estimate(_sample(values), m, degree)
                 assert np.array_equal(est.coeffs, _projection_oracle(values, m, basis))
 
     def test_degree_zero_equals_counting_histogram(self):
         rng = np.random.default_rng(11)
         values = rng.random(200)
         m = 13
-        est = projection_estimate(_sample(values), m, build_poly_basis(0))
+        est = projection_estimate(_sample(values), m, 0)
         heights = est.bin_values()
         for j in range(1, m + 1):
             count = int(np.sum((values > (j - 1) / m) & (values <= j / m)))
@@ -222,7 +222,7 @@ class TestProjection:
         values = rng.random(50)
         m, r = 5, 2
         basis = build_poly_basis(r)
-        est = projection_estimate(_sample(values), m, basis)
+        est = projection_estimate(_sample(values), m, r)
         # independent accumulation of (1/n) sum sqrt(m) Q_i(m y - (j-1))
         for j in (1, 3, 5):
             inside = (values > (j - 1) / m) & (values <= j / m)
@@ -234,22 +234,19 @@ class TestProjection:
     def test_projection_reproduces_polynomials(self):
         # projecting a degree-r polynomial density sampled exactly: the
         # estimate evaluated inside a bin uses only that bin's column
-        basis = build_poly_basis(1)
-        est = PiecewisePolyDensity(m=2, coeffs=np.array([[1.0, 0.5], [0.2, 0.0]]),
-                                   basis=basis)
+        est = PiecewisePolyDensity(np.array([[1.0, 0.5], [0.2, 0.0]]))
         x = 0.3
         t = 2 * x - 0
         expected = math.sqrt(2) * (1.0 * 1.0 + 0.2 * math.sqrt(3) * (2 * t - 1))
-        assert evaluate(est, x) == pytest.approx(expected, rel=1e-12)
+        assert est.evaluate(x)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_linearity_under_concatenation(self):
         rng = np.random.default_rng(21)
         a, b = rng.random(120), rng.random(80)
         m, r = 7, 2
-        basis = build_poly_basis(r)
-        ea = projection_estimate(_sample(a), m, basis)
-        eb = projection_estimate(_sample(b), m, basis)
-        eab = projection_estimate(_sample(np.concatenate([a, b])), m, basis)
+        ea = projection_estimate(_sample(a), m, r)
+        eb = projection_estimate(_sample(b), m, r)
+        eab = projection_estimate(_sample(np.concatenate([a, b])), m, r)
         x = rng.random(50)
         mix = (120 * ea.evaluate(x) + 80 * eb.evaluate(x)) / 200
         assert np.allclose(eab.evaluate(x), mix, atol=1e-12)
@@ -267,14 +264,23 @@ class TestProjection:
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(DomainError):
-            projection_estimate(_sample([0.5]), 0, build_poly_basis(0))
+            projection_estimate(_sample([0.5]), 0, 0)
 
     def test_coefficient_shape_validated(self):
+        # the shape is the whole description: 2-D, at least one bin, and a
+        # supported number of rows (degree 0..10)
+        for coeffs in (np.zeros(4), np.zeros((1, 2, 2)), np.zeros((2, 0)), 1.0):
+            with pytest.raises(DomainError):
+                PiecewisePolyDensity(coeffs)
+        for rows in (0, 12):
+            with pytest.raises(UnsupportedDegree):
+                PiecewisePolyDensity(np.zeros((rows, 3)))
+        with pytest.raises(UnsupportedDegree):
+            projection_estimate(_sample([0.5]), 4, 11)
         with pytest.raises(DomainError):
-            PiecewisePolyDensity(m=3, coeffs=np.zeros((2, 4)), basis=build_poly_basis(1))
-        with pytest.raises(DomainError):
-            PiecewisePolyDensity(m=2, coeffs=np.array([[np.inf, 0.0]]),
-                                 basis=build_poly_basis(0))
+            PiecewisePolyDensity(np.array([[np.inf, 0.0]]))
+        est = PiecewisePolyDensity(np.zeros((11, 3)))
+        assert (est.degree, est.m) == (10, 3)
 
 
 def test_phi_system_gram_identity():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
-                      ProcessSpec, TrialError, binning_bias, build_poly_basis,
+                      ProcessSpec, TrialError, binning_bias,
                       envelope_check, gaussian,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
@@ -23,7 +23,7 @@ def _hist_from_heights(heights):
     heights = np.asarray(heights, dtype=float)
     m = len(heights)
     coeffs = (heights / math.sqrt(m)).reshape(1, m)
-    return PiecewisePolyDensity(m=m, coeffs=coeffs, basis=build_poly_basis(0))
+    return PiecewisePolyDensity(coeffs)
 
 
 def _quad_oracle(estimate, reference, p, lo, hi, total_nodes=10**5):
@@ -159,8 +159,9 @@ class TestLpDistance:
 
     def test_rejects_bad_exponent_and_domain(self):
         est = _hist_from_heights([1.0])
-        with pytest.raises(DomainError):
-            lp_distance(est, two_level(), 0.5)
+        for p in (0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                lp_distance(est, two_level(), p)
         with pytest.raises(DomainError):
             lp_distance(est, two_level(), 1.0, domain=(0.0, math.inf))
         with pytest.raises(DomainError):
@@ -171,6 +172,12 @@ class TestLpDistance:
                            (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
             with pytest.raises(DomainError):
                 gaussian(mu, sigma2)
+
+    def test_step_density_rejects_non_finite_breaks(self):
+        # NaN fails both sides of the strictly-increasing check
+        for breaks in ((0.0, math.nan, 1.0), (0.0, 0.5, math.inf), (-math.inf, 0.5, 1.0)):
+            with pytest.raises(DomainError):
+                step_density(breaks, (1.0, 1.0))
 
     def test_reference_step_masses(self):
         for ref in (uniform01(), two_level()):
@@ -226,6 +233,9 @@ class TestBinningBias:
             binning_bias(8, gaussian(0.5, 0.01), 1.0)
         with pytest.raises(DomainError):
             binning_bias(0, two_level(), 1.0)
+        for p in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                binning_bias(10, two_level(), p)
 
 
 class TestMonteCarlo:
@@ -243,7 +253,7 @@ class TestMonteCarlo:
         arr = np.array(rep.per_trial)
         assert rep.mean_risk == pytest.approx(arr.mean(), rel=1e-15)
         assert rep.std_error == pytest.approx(arr.std(ddof=1) / math.sqrt(12), rel=1e-12)
-        assert rep.n == 1500 and rep.trials == 12 and rep.p == 1.0
+        assert rep.n == 1500 and len(rep.per_trial) == 12
 
     def test_worker_count_does_not_change_results(self):
         kwargs = dict(trials=8, master_seed=5)
@@ -309,6 +319,15 @@ class TestMonteCarlo:
             assert report.per_trial == serial.per_trial
             assert report == serial
 
+    def test_bad_exponent_rejected_before_any_trial(self):
+        # m = 0 would fail trial 1 with a TrialError if any trial ran
+        for p in (0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                monte_carlo_risk(self.SPEC, HistogramSpec(m=0), two_level(), trials=2, p=p)
+            with pytest.raises(DomainError):
+                risk_rows([(self.SPEC, HistogramSpec(m=0))], two_level(), trials=2, p=p,
+                          workers=2)
+
     def test_failing_later_row_names_its_trial(self):
         rows = [(replace(self.SPEC, seed=3), HistogramSpec(m=11)),
                 (replace(self.SPEC, n=1000, seed=5), HistogramSpec(m=0))]
@@ -370,3 +389,8 @@ class TestLoglogSlope:
             loglog_slope([(10, 1.0), (20, 0.5)])
         with pytest.raises(DomainError):
             loglog_slope([(10, 1.0), (20, 0.5), (30, -0.1)])
+
+    def test_rejects_non_finite_points(self):
+        for bad in ((30, math.nan), (30, math.inf), (math.inf, 0.3), (math.nan, 0.3)):
+            with pytest.raises(DomainError):
+                loglog_slope([(10, 1.0), (20, 0.5), bad])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +86,9 @@ class TestHistogramBins:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             histogram_bins_bv(0)
+        for constant in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError):
+                histogram_bins_bv(1000, constant)
         with pytest.raises(DomainError):
             histogram_bins_lsv(100, 1.0)
 
