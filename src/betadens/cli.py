@@ -1,8 +1,12 @@
 """Command-line entry point.
 
-    betadens run <config> [--seed S] [--out DIR] [--trials N] [--threads T]
-    betadens table <config> [same overrides]     # sweep + print the CSV
-    betadens coeffs [--k-max K] [--quad-nodes Q] [--out DIR]
+    betadens run <config> [--seed S] [--trials N] [--threads T] [--out DIR]
+    betadens table <config> [same flags]     # a sweep config; prints its risk table
+
+--seed, --trials and --threads set the config keys master_seed, trials and
+threads, and meet every check that a key in the file meets, including that
+the key belongs to the config's experiment.  --out is the output directory
+(default: out), not a config key.
 """
 
 from __future__ import annotations
@@ -11,29 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
-from .errors import BetadensError
+from .config import load_config
+from .errors import BetadensError, ConfigError
 from .runner import run_experiment
-
-
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("config", help="path to a key=value experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override master_seed")
-    parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--trials", type=int, default=None, help="override trial count")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (speed only, never results)")
-
-
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.threads is not None:
-        config.threads = args.threads
-    if args.out is not None:
-        config.out_dir = args.out
 
 
 def main(argv=None) -> int:
@@ -41,35 +25,30 @@ def main(argv=None) -> int:
                                      description="density estimation lab for "
                                                  "beta-dependent sequences")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, about in (("run", "run any experiment config"),
+                           ("table", "run a risk sweep and print the table")):
+        # a flag that is not given leaves no entry in the parsed namespace
+        p = sub.add_parser(command, help=about, argument_default=argparse.SUPPRESS)
+        p.add_argument("config", help="path to a key=value experiment config")
+        # the dest of each of these flags is the config key it sets
+        p.add_argument("--seed", dest="master_seed", metavar="S", help="set master_seed")
+        p.add_argument("--trials", metavar="N", help="set trials")
+        p.add_argument("--threads", metavar="T",
+                       help="set threads, the worker count (speed only, never results)")
+        p.add_argument("--out", dest="out_dir", metavar="DIR",
+                       help="output directory (default: out)")
 
-    run_p = sub.add_parser("run", help="run any experiment config")
-    _add_overrides(run_p)
-
-    table_p = sub.add_parser("table", help="run a risk sweep and print the table")
-    _add_overrides(table_p)
-
-    coeffs_p = sub.add_parser("coeffs", help="dependence coefficient report")
-    defaults = ExperimentConfig(experiment="coefficient-report")
-    coeffs_p.add_argument("--k-max", type=int, default=defaults.k_max)
-    coeffs_p.add_argument("--quad-nodes", type=int, default=defaults.quad_nodes)
-    coeffs_p.add_argument("--out", default=defaults.out_dir)
-
-    args = parser.parse_args(argv)
+    overrides = vars(parser.parse_args(argv))
+    command, config_path = overrides.pop("command"), overrides.pop("config")
+    out = {"out_dir": overrides.pop("out_dir")} if "out_dir" in overrides else {}
     try:
-        if args.command == "coeffs":
-            config = ExperimentConfig(experiment="coefficient-report",
-                                      k_max=args.k_max, quad_nodes=args.quad_nodes,
-                                      out_dir=args.out)
-            files = run_experiment(config)
-        else:
-            config = load_config(args.config)
-            _apply_overrides(config, args)
-            if args.command == "table" and config.experiment not in (
-                    "risk-table-sweep", "risk-slope-plot"):
-                parser.error("'table' needs a risk-table-sweep or risk-slope-plot config")
-            files = run_experiment(config)
-            if args.command == "table":
-                sys.stdout.write(Path(files[0]).read_text(encoding="ascii"))
+        config = load_config(config_path, overrides)
+        if command == "table" and config.n_grid is None:
+            raise ConfigError(f"'table' needs a config with the key 'n_grid', and "
+                              f"experiment {config.experiment!r} has none")
+        files = run_experiment(config, **out)
+        if command == "table":
+            sys.stdout.write(Path(files[0]).read_text(encoding="ascii"))
         for path in files:
             print(f"wrote {path}", file=sys.stderr)
         return 0

@@ -1,10 +1,12 @@
 """Flat key=value experiment configurations.
 
 One experiment per file; lines are `key = value`, blank lines and `#`
-comments are ignored.  Unknown keys are rejected.  `validate_config` checks
-every config before it runs, whether parsed, overridden or built in code:
-each required key of its experiment (a key with no default) must be set,
-and every value must lie in range.
+comments are ignored.  `parse_config` is the one way from text to a config:
+the pairs of a file and any overrides (the command-line flags) meet the same
+checks, so an unknown key, a key outside its experiment or a value that does
+not convert is rejected.  `validate_config` checks every config before it
+runs, whether parsed or built in code: each required key of its experiment
+(a key with no default) must be set, and every value must lie in range.
 """
 
 from __future__ import annotations
@@ -18,23 +20,23 @@ from pathlib import Path
 from .depcoeff import MAX_CLOSED_K
 from .errors import ConfigError
 from .kernels import KERNELS
+from .processes import DEFAULT_BURN_IN
 
 # experiment -> (required keys, optional keys); `experiment` itself is implied
 _SCHEMA = {
     "kernel-gaussian-figure": ({"n", "mu", "sigma2"},
                                {"kernel", "bandwidth", "master_seed", "grid_points",
-                                "out_dir", "burn_in"}),
+                                "burn_in"}),
     "histogram-two-level-figure": ({"n"},
-                                   {"m", "bins_constant", "master_seed", "out_dir",
-                                    "burn_in"}),
+                                   {"m", "bins_constant", "master_seed", "burn_in"}),
     "risk-table-sweep": ({"n_grid"},
                          {"trials", "p", "bins_constant", "master_seed", "threads",
-                          "out_dir", "burn_in"}),
+                          "burn_in"}),
     "risk-slope-plot": ({"n_grid"},
                         {"trials", "p", "bins_constant", "master_seed", "threads",
-                         "out_dir", "loglog", "burn_in"}),
-    "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "out_dir", "burn_in"}),
-    "coefficient-report": (set(), {"k_max", "quad_nodes", "out_dir"}),
+                         "loglog", "burn_in"}),
+    "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "burn_in"}),
+    "coefficient-report": (set(), {"k_max", "quad_nodes"}),
 }
 
 EXPERIMENTS = tuple(_SCHEMA)
@@ -59,9 +61,8 @@ class ExperimentConfig:
     grid_points: int = 512
     k_max: int = 20
     quad_nodes: int = 64
-    burn_in: int = 1000
+    burn_in: int = DEFAULT_BURN_IN
     loglog: bool = False
-    out_dir: str = "out"
 
 
 def parse_n_grid(text: str) -> tuple[int, ...]:
@@ -100,7 +101,9 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    """The config of `text`; each `key: raw` pair of `overrides` sets its key
+    as a line of `text` would, in place of any value the text gives it."""
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -110,17 +113,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}")
         pairs[key] = raw
+    pairs.update(overrides or {})
 
     if "experiment" not in pairs:
         raise ConfigError("missing required key 'experiment'")
     config = ExperimentConfig(experiment=pairs.pop("experiment"))
     required, optional = _schema(config.experiment)
     for key, raw in pairs.items():
+        if key not in _KEY_TYPES:
+            raise ConfigError(f"unknown key {key!r}")
         if key not in required | optional:
             raise ConfigError(
                 f"key {key!r} does not belong to experiment {config.experiment!r}")
@@ -195,8 +199,8 @@ def validate_config(config: ExperimentConfig) -> None:
             f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}")
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+    return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
 
 
 def serialize_config(config: ExperimentConfig) -> str:

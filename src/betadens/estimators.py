@@ -87,7 +87,8 @@ class PiecewisePolyDensity:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writeable
+        c = np.array(self.coeffs, dtype=float)
         if c.ndim != 2 or c.shape[1] == 0:
             raise DomainError(f"coefficients must have shape (r+1, m), m >= 1, got {c.shape}")
         build_poly_basis(c.shape[0] - 1)    # UnsupportedDegree unless 0 <= r <= 10

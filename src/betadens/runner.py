@@ -23,10 +23,11 @@ def _row_seed(master_seed: int, n: int) -> int:
     return (master_seed ^ (n * _SEED_MIX)) % 2**64
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
-    """Validate and execute one experiment; returns the files written."""
+def run_experiment(config: ExperimentConfig, out_dir: str | Path = "out") -> list[Path]:
+    """Validate and execute one experiment, writing into `out_dir`; returns
+    the files written."""
     validate_config(config)
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[config.experiment](config, out)
 

@@ -20,10 +20,10 @@ class RateRegime:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise DomainError(f"risk exponent must be >= 1, got {self.p}")
-        if self.s <= 0.0:
-            raise DomainError(f"smoothness must be positive, got {self.s}")
+        if not 1.0 <= self.p < math.inf:
+            raise DomainError(f"risk exponent must be >= 1 and finite, got {self.p}")
+        if not 0.0 < self.s < math.inf:
+            raise DomainError(f"smoothness must be finite and > 0, got {self.s}")
         if not 0.0 <= self.delta < 1.0:
             raise DomainError(f"delta must lie in [0, 1), got {self.delta}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
@@ -34,6 +34,8 @@ def kernel_bandwidth(n: int, regime: RateRegime, constant: float = 1.0) -> float
     """h_n = C * n^(-(1 - delta) / (2s + 1))."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if not 0.0 < constant < math.inf:
+        raise DomainError(f"bandwidth constant must be finite and > 0, got {constant}")
     return constant * float(n) ** (-(1.0 - regime.delta) / (2.0 * regime.s + 1.0))
 
 

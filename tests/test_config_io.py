@@ -47,7 +47,6 @@ _KEY_VALUES = {
     "quad_nodes": st.integers(16, 512),
     "burn_in": st.integers(0, 10**6),
     "loglog": st.booleans(),
-    "out_dir": st.text("abcxyz0123456789_-./", min_size=1, max_size=20),
 }
 # risk-slope-plot fits a line, so its grid needs at least three sizes
 _SLOPE_KEY_VALUES = {**_KEY_VALUES, "n_grid": _n_grids(3)}
@@ -71,6 +70,14 @@ class TestParse:
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("experiment = risk-table-sweep\nfrobnicate = 1\n")
+        with pytest.raises(ConfigError, match="frobnicate"):
+            parse_config(SWEEP_TEXT, {"frobnicate": "1"})
+
+    def test_overrides_replace_and_add_keys(self):
+        cfg = parse_config(SWEEP_TEXT, {"master_seed": "5", "trials": "7"})
+        assert cfg == replace(parse_config(SWEEP_TEXT), master_seed=5, trials=7)
+        text = "experiment = risk-table-sweep\nn_grid = 10,20\n"
+        assert parse_config(text, {"threads": "3"}).threads == 3
 
     def test_key_outside_experiment_schema(self):
         with pytest.raises(ConfigError, match="gamma"):

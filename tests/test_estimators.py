@@ -282,6 +282,14 @@ class TestProjection:
         est = PiecewisePolyDensity(np.zeros((11, 3)))
         assert (est.degree, est.m) == (10, 3)
 
+    def test_caller_array_stays_writeable_and_apart(self):
+        c = np.zeros((1, 3))
+        est = PiecewisePolyDensity(c)
+        assert c.flags.writeable and not est.coeffs.flags.writeable
+        c[0, 1] = 5.0
+        assert np.array_equal(est.coeffs, np.zeros((1, 3)))
+        assert np.array_equal(est.evaluate(np.array([0.5])), [0.0])
+
 
 def test_phi_system_gram_identity():
     # orthonormality of the scaled bin system, quadrature with 64 nodes per bin

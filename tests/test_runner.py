@@ -142,11 +142,33 @@ class TestCli:
         out_dir = tmp_path / "o"
         assert main(["run", str(cfg), "--trials", "2", "--seed", "5",
                      "--out", str(out_dir), "--threads", "2"]) == 0
-        assert (out_dir / "risk_table.csv").exists()
+        # the flags replace the file's values
+        (expected,) = _run("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\n"
+                           "master_seed = 5\n", tmp_path / "expected")
+        assert (out_dir / "risk_table.csv").read_bytes() == expected.read_bytes()
 
-    def test_coeffs_command(self, tmp_path):
-        assert main(["coeffs", "--k-max", "3", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "coefficients.csv").exists()
+    def test_run_coefficients_config(self, tmp_path):
+        path = CONFIG_DIR / "coefficients.cfg"
+        assert main(["run", str(path), "--out", str(tmp_path / "cli")]) == 0
+        files = run_experiment(load_config(path), tmp_path / "lib")
+        assert [p.name for p in files] == ["coefficients.csv",
+                                           "pair_coefficient_lower_bounds.csv"]
+        for p in files:
+            assert (tmp_path / "cli" / p.name).read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "coefficients.cfg", "--seed", "5"], "'master_seed'"),
+        (["run", "figure_lsv_gamma025_n60000.cfg", "--trials", "5"], "'trials'"),
+        (["run", "figure_kernel_gaussian_n1000.cfg", "--threads", "2"], "'threads'"),
+        (["run", "table_risk_sweep.cfg", "--seed", "abc"], "'master_seed'"),
+        (["table", "figure_lsv_gamma025_n60000.cfg"], "'n_grid'")])
+    def test_flag_the_config_cannot_take_is_refused(self, tmp_path, capsys, argv, named):
+        command, name, *flags = argv
+        out = tmp_path / "out"
+        assert main([command, str(CONFIG_DIR / name), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -186,8 +208,7 @@ class TestCli:
                 (["run", str(cfg), "--seed", "-1"], "master_seed"),
                 (["table", str(cfg), "--threads", "0"], "threads"),
                 (["run", str(cfg), "--threads", "-3"], "threads"),
-                (["run", str(cfg), "--trials", "0"], "trials"),
-                (["coeffs", "--k-max", "0"], "k_max")):
+                (["run", str(cfg), "--trials", "0"], "trials")):
             assert main(argv + ["--out", str(tmp_path / "override")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and named in err

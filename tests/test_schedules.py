@@ -45,6 +45,14 @@ class TestKernelBandwidth:
             RateRegime(s=0.0)
         with pytest.raises(DomainError):
             RateRegime(delta=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                RateRegime(p=bad)
+            with pytest.raises(DomainError):
+                RateRegime(s=bad)
+        for constant in (math.nan, -1.0, 0.0, math.inf):
+            with pytest.raises(DomainError):
+                kernel_bandwidth(100, RateRegime(), constant)
 
 
 class TestHistogramBins:
