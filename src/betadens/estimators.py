@@ -7,6 +7,7 @@ and the bin count are its shape.  Histograms are the degree-0 special case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,8 @@ import numpy as np
 from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
-from .processes import Sample
+from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, Sample, chain_bin_counts,
+                        register_values)
 from .quadrature import panel_nodes
 
 # sample values one gather of KernelDensity.evaluate holds at most; bounds
@@ -138,6 +140,26 @@ def kernel_estimate(sample: Sample, kernel: KernelSpec, h: float) -> KernelDensi
     return KernelDensity(sorted_values=sample.values, kernel=kernel, bandwidth=h)
 
 
+def _check_bins(m: int) -> None:
+    if m < 1:
+        raise DomainError(f"bin count must be >= 1, got {m}")
+
+
+def _bin_index(values: np.ndarray, m: int) -> np.ndarray:
+    """Bin j of ((j-1)/m, j/m] of each value; 0 for x <= 0 and m + 1 for
+    x > 1 or NaN, the two bins an estimate drops."""
+    with np.errstate(over="ignore"):
+        return np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
+
+
+def _projection(coeffs: np.ndarray, counts: np.ndarray, n: int) -> PiecewisePolyDensity:
+    """The estimate of n values from their counts in bins 1..m (row 0, as
+    Q_1 = 1) and the basis sums of the higher rows already in `coeffs`."""
+    coeffs[0] = counts
+    coeffs *= np.sqrt(coeffs.shape[1]) / n
+    return PiecewisePolyDensity(coeffs)
+
+
 def projection_estimate(sample: Sample, m: int, degree: int) -> PiecewisePolyDensity:
     """Empirical projection coefficients c_{i,j} = (1/n) sum_k phi_{i,j}(Y_k),
     for the basis polynomials of degree <= `degree`.
@@ -145,28 +167,52 @@ def projection_estimate(sample: Sample, m: int, degree: int) -> PiecewisePolyDen
     Sample values outside (0, 1] contribute zero, matching the zero extension
     of the base polynomials.
     """
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
+    _check_bins(m)
     basis = build_poly_basis(degree)
     values = sample.values
     coeffs = np.empty((degree + 1, m))
-    with np.errstate(over="ignore"):
-        # bin j of ((j-1)/m, j/m]; bins 0 (x <= 0) and m + 1 (x > 1, NaN) are
-        # dropped, and their t is clipped to [0, 1] (or NaN) to raise no warning
-        j = np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
-        # Q_1 = 1, so the degree-0 coefficients are plain counts
-        coeffs[0] = np.bincount(j, minlength=m + 2)[1:-1]
-        if degree:
+    j = _bin_index(values, m)
+    if degree:
+        # t of the dropped bins is clipped to [0, 1] (or NaN) to raise no warning
+        with np.errstate(over="ignore"):
             q = basis.eval_all(np.clip(m * values - (j - 1), 0.0, 1.0))
-            for i in range(1, degree + 1):
-                coeffs[i] = np.bincount(j, weights=q[i], minlength=m + 2)[1:-1]
-    coeffs *= np.sqrt(m) / len(values)
-    return PiecewisePolyDensity(coeffs)
+        for i in range(1, degree + 1):
+            coeffs[i] = np.bincount(j, weights=q[i], minlength=m + 2)[1:-1]
+    return _projection(coeffs, np.bincount(j, minlength=m + 2)[1:-1], len(values))
 
 
 def histogram_estimate(sample: Sample, m: int) -> PiecewisePolyDensity:
     """Regular histogram on ((j-1)/m, j/m], the degree-0 projection."""
     return projection_estimate(sample, m, 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
+    """Per register prefix, the bin of the chain values of `kind`, or m + 2
+    where the prefix's registers fall in more than one bin.
+
+    Register -> value -> bin is non-decreasing: `_register_value` rounds
+    once, every branch of `piecewise_quantile` is correctly rounded and the
+    branches meet at 0.25 and 0.75 exactly, and then the clamped ceil.  So a
+    prefix whose lowest and highest registers share a bin has one bin.
+    """
+    low = np.arange(2**PREFIX_BITS, dtype=np.uint64) << np.uint64(64 - PREFIX_BITS)
+    high = low | np.uint64(2**(64 - PREFIX_BITS) - 1)
+    first = _bin_index(register_values(kind, low), m)
+    last = _bin_index(register_values(kind, high), m)
+    table = np.where(first == last, first, m + 2).astype(np.min_scalar_type(m + 2))
+    table.flags.writeable = False
+    return table
+
+
+def chain_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
+    """histogram_estimate(generate(spec), m), bit for bit, counted from the
+    chain's register prefixes (`chain_bin_counts`); for the binary chain and
+    its piecewise quantile transform."""
+    _check_bins(m)
+    counts = chain_bin_counts(spec, _prefix_bins(spec.kind, m), m + 2,
+                              lambda values: _bin_index(values, m))
+    return _projection(np.empty((1, m)), counts[1:-1], spec.n)
 
 
 def estimate_mass(estimate: DensityEstimate) -> float:

@@ -25,6 +25,7 @@ from .normal import norm_ppf
 
 DEFAULT_BURN_IN = 1000
 _BLOCK = 8192  # values per block of piecewise_quantile_transform
+PREFIX_BITS = 12  # register bits that index the table of chain_bin_counts
 
 
 class ProcessKind(enum.Enum):
@@ -32,6 +33,11 @@ class ProcessKind(enum.Enum):
     AR1_GAUSSIAN = "ar1-gaussian"
     AR1_PIECEWISE = "ar1-piecewise"
     LSV_TRAJECTORY = "lsv"
+
+
+# the kinds whose values `register_values` makes, monotonically, from the
+# chain's 64-bit register
+REGISTER_KINDS = (ProcessKind.AR1_BINARY, ProcessKind.AR1_PIECEWISE)
 
 
 @dataclass(frozen=True)
@@ -104,20 +110,16 @@ def _register_value(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.multiply(out, 2.0**-32, out=out)
 
 
-def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> Sample:
-    """Sample the dyadic AR(1) chain after discarding `burn_in` steps.
+def _windows16(n: int, burn_in: int, seed: int) -> np.ndarray:
+    """The chain's bit stream as 16-bit windows; entry i is the window that
+    ends at stream position i + 8, so the register of value k (0-based) is
+    entries 56, 40, 24 and 8 past burn_in + k, high half first.
 
-    The recursion X_{k+1} = (X_k + eps_{k+1})/2 prepends each innovation bit
-    to the binary expansion of the state, so the k-th iterate is the 64-bit
-    sliding window over one bit stream: the 64 bits of the uniform initial
-    state, as innovations at times -64 ... -1, followed by the innovations
-    (the top bit of each 32-bit half of a raw Philox word, low half first,
-    as `integers(0, 2)` draws them).  Log-doubling shift-or passes on uint8,
-    uint16 and uint32 build the 32-bit windows W; value k is the register
-    W[k] 2^32 + W[k-32] times 2^-64, rounded once (`_register_value`), so it
-    is within 2^-64 of the exact real recursion.
+    The stream is the 64 bits of the uniform initial state, as innovations at
+    times -64 ... -1, followed by the innovations (the top bit of each 32-bit
+    half of a raw Philox word, low half first, as `integers(0, 2)` draws
+    them); log-doubling shift-or passes on uint8 build the 8-bit windows.
     """
-    spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
     rng = _rng(seed)
     x0 = np.uint64(int(rng.random() * 2.0**64))
     total = burn_in + n
@@ -129,14 +131,61 @@ def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> S
     # after the pass with shift s, each entry holds the latest 2s bits
     for s in (1, 2, 4):
         bits[s:] |= bits[:-s] >> s
-    w16 = bits[8:].astype(np.uint16)    # entry i: window at position i + 8
+    w16 = bits[8:].astype(np.uint16)
     w16 <<= 8
     w16 |= bits[:-8]
+    return w16
+
+
+def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> Sample:
+    """Sample the dyadic AR(1) chain after discarding `burn_in` steps.
+
+    The recursion X_{k+1} = (X_k + eps_{k+1})/2 prepends each innovation bit
+    to the binary expansion of the state, so the k-th iterate is the 64-bit
+    sliding window over one bit stream (`_windows16`).  Value k is the
+    register W[k] 2^32 + W[k-32] of its 32-bit windows W times 2^-64, rounded
+    once (`_register_value`), so it is within 2^-64 of the exact real
+    recursion.
+    """
+    spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
+    w16 = _windows16(n, burn_in, seed)
     w32 = w16[16:].astype(np.uint32)    # entry i: window at position i + 24
     w32 <<= 16
     w32 |= w16[:-16]
     values = _register_value(w32[40 + burn_in:], w32[8 + burn_in:8 + burn_in + n])
     return Sample(values=values, spec=spec)
+
+
+def register_values(kind: ProcessKind, registers: np.ndarray) -> np.ndarray:
+    """The values `generate` gives a chain of `kind` at the uint64 registers."""
+    if kind not in REGISTER_KINDS:
+        raise DomainError(f"{kind.value} values are not read off chain registers")
+    values = _register_value(registers >> np.uint64(32), registers & np.uint64(2**32 - 1))
+    return piecewise_quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
+
+
+def chain_bin_counts(spec: ProcessSpec, table: np.ndarray, bins: int,
+                     bins_of) -> np.ndarray:
+    """The `bins` counts per bin of the values of the chain `spec`, with no
+    value built but those whose register prefix leaves the bin open.
+
+    table[p] is the bin shared by every register whose top PREFIX_BITS bits
+    are p, or `bins` where the registers of p fall in more than one bin;
+    those registers go through `register_values` and bins_of(values).
+    """
+    w16 = _windows16(spec.n, spec.burn_in, spec.seed)
+    top = w16[56 + spec.burn_in:56 + spec.burn_in + spec.n]
+    found = np.take(table, top >> (16 - PREFIX_BITS))
+    counts = np.bincount(found, minlength=bins + 1)
+    if counts[bins]:
+        i = np.flatnonzero(found == bins) + (56 + spec.burn_in)
+        registers = w16[i].astype(np.uint64)
+        for offset in (16, 32, 48):
+            registers <<= np.uint64(16)
+            registers |= w16[i - offset]
+        counts[:bins] += np.bincount(bins_of(register_values(spec.kind, registers)),
+                                     minlength=bins)
+    return counts[:bins]
 
 
 def gaussian_quantile_transform(sample: Sample, mu: float, sigma2: float) -> Sample:

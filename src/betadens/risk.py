@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, EmptyEstimate, TrialError
-from .estimators import PiecewisePolyDensity, histogram_estimate, kernel_estimate
+from .estimators import (PiecewisePolyDensity, chain_histogram, histogram_estimate,
+                         kernel_estimate)
 from .kernels import kernel_by_name, silverman_bandwidth
-from .processes import ProcessSpec, Sample, generate
+from .processes import REGISTER_KINDS, ProcessSpec, generate
 from .quadrature import integrate_adaptive
 from .schedules import histogram_bins_bv
 
@@ -207,13 +208,20 @@ class KernelEstimatorSpec:
 EstimatorSpec = HistogramSpec | KernelEstimatorSpec
 
 
-def build_estimate(sample: Sample, config: EstimatorSpec):
-    n = len(sample)
+def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
+    """The estimate `config` of a realization of `spec`.  A histogram of the
+    binary chain or of its piecewise transform is counted from the chain's
+    registers (`chain_histogram`), any other estimate is built from
+    generate(spec); both give the same bits."""
     if isinstance(config, HistogramSpec):
-        m = config.m if config.m is not None else histogram_bins_bv(n, config.bins_constant)
-        return histogram_estimate(sample, m)
+        m = config.m if config.m is not None else histogram_bins_bv(spec.n,
+                                                                    config.bins_constant)
+        if spec.kind in REGISTER_KINDS:
+            return chain_histogram(spec, m)
+        return histogram_estimate(generate(spec), m)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
+        sample = generate(spec)
         h = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(sample)
         return kernel_estimate(sample, kernel, h)
     raise DomainError(f"unknown estimator config {config!r}")
@@ -222,9 +230,7 @@ def build_estimate(sample: Sample, config: EstimatorSpec):
 def _trial_risk(task) -> float:
     trial, spec, est_cfg, reference, p = task
     try:
-        sample = generate(spec)
-        estimate = build_estimate(sample, est_cfg)
-        return lp_distance(estimate, reference, p)
+        return lp_distance(build_estimate(spec, est_cfg), reference, p)
     except Exception as exc:
         raise TrialError(
             f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc

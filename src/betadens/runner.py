@@ -10,7 +10,7 @@ import numpy as np
 from .config import ExperimentConfig, validate_config
 from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
-from .processes import ProcessKind, ProcessSpec, generate
+from .processes import ProcessKind, ProcessSpec
 from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, gaussian,
                    loglog_slope, risk_rows, two_level)
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
@@ -37,7 +37,7 @@ def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
                        seed=config.master_seed, burn_in=config.burn_in,
                        mu=config.mu, sigma2=config.sigma2)
     bandwidth = None if config.bandwidth == "silverman" else float(config.bandwidth)
-    estimate = build_estimate(generate(spec), KernelEstimatorSpec(config.kernel, bandwidth))
+    estimate = build_estimate(spec, KernelEstimatorSpec(config.kernel, bandwidth))
     ref = gaussian(config.mu, config.sigma2)
     sigma = math.sqrt(config.sigma2)
     grid = np.linspace(config.mu - 4.0 * sigma, config.mu + 4.0 * sigma,
@@ -84,7 +84,7 @@ def _histogram_figure(out: Path, stem: str, estimate, column: str,
 def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
-    estimate = build_estimate(generate(spec), HistogramSpec(config.m, config.bins_constant))
+    estimate = build_estimate(spec, HistogramSpec(config.m, config.bins_constant))
     reference = two_level()
     breaks, values = reference.step_representation()
     return _histogram_figure(
@@ -155,7 +155,7 @@ def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     curve_x = np.linspace(1.0 / (2.0 * m), 1.0, 512)
     return _histogram_figure(
         out, f"lsv_histogram_gamma{gamma_tag}_n{config.n}",
-        build_estimate(generate(spec), HistogramSpec(m)),
+        build_estimate(spec, HistogramSpec(m)),
         "equivalent_density_at_mid", lambda x: equivalent_density(x, config.gamma),
         f"invariant density, gamma={config.gamma}, n={config.n}",
         curve_x, equivalent_density(curve_x, config.gamma))

@@ -10,7 +10,8 @@ from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError,
                       UnsupportedDegree, build_poly_basis, estimate_mass, generate,
                       histogram_estimate, kernel_estimate, projection_estimate,
                       silverman_bandwidth)
-from betadens.estimators import _GATHER_ELEMENTS
+from betadens.estimators import _GATHER_ELEMENTS, _prefix_bins, chain_histogram
+from betadens.processes import PREFIX_BITS, REGISTER_KINDS, piecewise_quantile
 
 
 def _sample(values):
@@ -184,6 +185,71 @@ def _projection_oracle(values, m, basis):
             coeffs[i] = np.bincount(j - 1, weights=q[i], minlength=m)
         coeffs *= np.sqrt(m) / len(values)
     return coeffs
+
+
+_PREFIX_SHIFT = 64 - PREFIX_BITS
+
+
+def _pipeline_bins(kind, registers, m):
+    # the bin a sample of `kind` puts each uint64 register in: the value
+    # float(R) 2^-64, its quantile, then the clamped ceil of x m
+    x = np.asarray(registers, dtype=np.uint64).astype(np.float64) * 2.0**-64
+    if kind is ProcessKind.AR1_PIECEWISE:
+        x = piecewise_quantile(x)
+    return np.clip(np.ceil(x * m), 0, m + 1).astype(np.int64)
+
+
+def _prefix_ends(prefixes):
+    low = np.asarray(prefixes, dtype=np.uint64) << np.uint64(_PREFIX_SHIFT)
+    return low, low | np.uint64(2**_PREFIX_SHIFT - 1)
+
+
+def _bin_edge_registers(kind, m):
+    # the first register of every bin that starts inside a prefix, found by
+    # bisection on the pipeline, with its neighbours
+    table = _prefix_bins(kind, m)
+    low, high = _prefix_ends(np.flatnonzero(table == m + 2))
+    low_bin = _pipeline_bins(kind, low, m)
+    for _ in range(_PREFIX_SHIFT):
+        mid = low + (high - low) // np.uint64(2)
+        same = _pipeline_bins(kind, mid, m) == low_bin
+        low = np.where(same, mid, low)
+        high = np.where(same, high, mid)
+    # `high` is now the first register past the bin of the prefix's lowest one
+    assert np.all(_pipeline_bins(kind, high, m) > low_bin)
+    return np.concatenate([low, high, high + np.uint64(1)])
+
+
+class TestChainHistogram:
+    MS = tuple(range(1, 65)) + (253, 254, 255, 256, 1000, 5000)
+
+    @pytest.mark.parametrize("kind", REGISTER_KINDS)
+    def test_table_entries_are_the_pipeline_bins_at_both_prefix_ends(self, kind):
+        low, high = _prefix_ends(np.arange(2**PREFIX_BITS))
+        for m in self.MS:
+            table = _prefix_bins(kind, m)
+            assert len(table) == 2**PREFIX_BITS and not table.flags.writeable
+            first, last = _pipeline_bins(kind, low, m), _pipeline_bins(kind, high, m)
+            # int64 comparison: an entry wrapped by a narrow dtype would differ
+            want = np.where(first == last, first, m + 2)
+            assert np.array_equal(table.astype(np.int64), want), m
+
+    @pytest.mark.parametrize("kind", REGISTER_KINDS)
+    def test_bins_never_decrease_with_the_register(self, kind):
+        rng = np.random.default_rng(1234)
+        kinks = np.array([2**61, 7 * 2**61], dtype=np.uint64)   # u = 1/8 and 7/8
+        for m in (1, 2, 3, 4, 7, 17, 47, 253, 254, 1000, 5000):
+            registers = np.sort(np.concatenate([
+                rng.integers(0, 2**64 - 1, size=20000, dtype=np.uint64, endpoint=True),
+                np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+                kinks - np.uint64(1), kinks, kinks + np.uint64(1),
+                _bin_edge_registers(kind, m)]))
+            assert np.all(np.diff(_pipeline_bins(kind, registers, m)) >= 0), m
+
+    def test_refuses_processes_without_registers(self):
+        lsv = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=10, seed=1, gamma=0.5)
+        with pytest.raises(DomainError, match="chain registers"):
+            chain_histogram(lsv, 4)
 
 
 class TestProjection:

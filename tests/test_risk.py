@@ -12,8 +12,9 @@ from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       envelope_check, gaussian,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
-from betadens import Sample
+from betadens import Sample, build_estimate, generate
 from betadens.config import load_config
+from betadens.processes import REGISTER_KINDS
 from betadens.risk import _trial_risk
 from test_acceptance import REFERENCE_TABLE
 from test_runner import CONFIG_DIR
@@ -333,6 +334,31 @@ class TestMonteCarlo:
                 (replace(self.SPEC, n=1000, seed=5), HistogramSpec(m=0))]
         with pytest.raises(TrialError, match=r"trial 1 \(seed 4\)"):
             risk_rows(rows, two_level(), trials=3, workers=2)
+
+
+class TestBuildEstimate:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(REGISTER_KINDS),
+           n=st.sampled_from([1, 31, 32, 33, 63, 64, 65, 8191, 8192, 8193, 110_000]),
+           burn_in=st.sampled_from([0, 1, 63, 1000]),
+           seed=st.sampled_from([0, 7, 2**64 - 1]),
+           m=st.one_of(st.none(), st.integers(1, 300),
+                       st.sampled_from([253, 254, 255, 256, 4096, 5000])))
+    def test_counted_histogram_equals_the_sample_histogram(self, kind, n, burn_in, seed, m):
+        # m None is the BV schedule of n
+        spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in)
+        estimator = HistogramSpec(m=m)
+        got = build_estimate(spec, estimator)
+        want = histogram_estimate(generate(spec), got.m)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("kind", list(ProcessKind))
+    def test_zero_bins_raise_for_every_process(self, kind):
+        extra = {ProcessKind.AR1_GAUSSIAN: dict(mu=0.0, sigma2=1.0),
+                 ProcessKind.LSV_TRAJECTORY: dict(gamma=0.5)}.get(kind, {})
+        spec = ProcessSpec(kind, n=20, seed=3, **extra)
+        with pytest.raises(DomainError, match="bin count must be >= 1"):
+            build_estimate(spec, HistogramSpec(m=0))
 
 
 class TestEnvelope:
