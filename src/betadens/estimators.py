@@ -16,7 +16,7 @@ from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
 from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, Sample, chain_bin_counts,
-                        register_values)
+                        lsv_blocks, register_values)
 from .quadrature import panel_nodes
 
 # sample values one gather of KernelDensity.evaluate holds at most; bounds
@@ -212,6 +212,17 @@ def chain_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
     _check_bins(m)
     counts = chain_bin_counts(spec, _prefix_bins(spec.kind, m), m + 2,
                               lambda values: _bin_index(values, m))
+    return _projection(np.empty((1, m)), counts[1:-1], spec.n)
+
+
+def lsv_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
+    """histogram_estimate(generate(spec), m), bit for bit, counted block by
+    block (`lsv_blocks`), so the n-value trajectory is never held at once;
+    counts are integers, so the block order cannot change a bit."""
+    _check_bins(m)
+    counts = np.zeros(m + 2, dtype=np.intp)
+    for block in lsv_blocks(spec):
+        counts += np.bincount(_bin_index(block, m), minlength=m + 2)
     return _projection(np.empty((1, m)), counts[1:-1], spec.n)
 
 

@@ -24,7 +24,7 @@ from .errors import DomainError
 from .normal import norm_ppf
 
 DEFAULT_BURN_IN = 1000
-_BLOCK = 8192  # values per block of piecewise_quantile_transform
+_BLOCK = 8192  # values per block of piecewise_quantile_transform and lsv_blocks
 PREFIX_BITS = 12  # register bits that index the table of chain_bin_counts
 
 
@@ -85,13 +85,17 @@ class Sample:
         if len(values) != self.spec.n:
             raise DomainError(
                 f"sample has {len(values)} values but spec.n = {self.spec.n}")
-        # one min/max pair over the whole array; a NaN fails the comparison
-        if self.spec.kind is not ProcessKind.AR1_GAUSSIAN and not (
-                0.0 <= values.min() and values.max() <= 1.0):
-            raise DomainError(f"{self.spec.kind.value} samples live in [0, 1]")
+        if self.spec.kind is not ProcessKind.AR1_GAUSSIAN:
+            _check_unit(values, self.spec.kind)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def _check_unit(values: np.ndarray, kind: ProcessKind) -> None:
+    # one min/max pair over the whole array; a NaN fails the comparison
+    if not (0.0 <= values.min() and values.max() <= 1.0):
+        raise DomainError(f"{kind.value} samples live in [0, 1]")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -246,27 +250,48 @@ def lsv_step(x: float, gamma: float) -> float:
     return t
 
 
+def lsv_blocks(spec: ProcessSpec):
+    """The n iterates of the intermittent map `spec` that follow its burn-in,
+    (T^{b+1}(y), ..., T^{b+n}(y)) from a uniform start y, as float64 blocks of
+    at most _BLOCK values, each checked for [0, 1] like a `Sample`.
+
+    The loop inlines the same branch arithmetic as lsv_step; iterates escape
+    the neutral fixed point in finitely many steps, so plain double precision
+    is used throughout.  Blocks cut steps b + 1, ..., b + n at multiples of
+    _BLOCK counted from the start, so the first and the last may be short.
+    """
+    if spec.kind is not ProcessKind.LSV_TRAJECTORY:
+        raise DomainError(f"{spec.kind.value} is not an lsv trajectory")
+    gamma, burn_in = spec.gamma, spec.burn_in
+    x = _rng(spec.seed).random()
+    scale = 2.0**gamma
+    buf = [0.0] * _BLOCK
+    total = burn_in + spec.n
+    for start in range(0, total, _BLOCK):
+        size = min(_BLOCK, total - start)
+        for k in range(size):
+            x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
+            if x > 1.0:
+                x = 1.0
+            buf[k] = x
+        if start + size > burn_in:
+            block = np.array(buf[max(0, burn_in - start):size])
+            _check_unit(block, spec.kind)
+            yield block
+
+
 def lsv_trajectory(n: int, gamma: float, burn_in: int = DEFAULT_BURN_IN,
                    seed: int = 0) -> Sample:
-    """Iterate the intermittent map from a uniform start.
-
-    Returns the n iterates following the burn-in, i.e. (T^{b+1}(y), ...,
-    T^{b+n}(y)).  The loop inlines the same branch arithmetic as lsv_step;
-    iterates escape the neutral fixed point in finitely many steps, so plain
-    double precision is used throughout.
-    """
+    """Iterate the intermittent map from a uniform start: the n iterates of
+    `lsv_blocks` after the burn-in, in one array."""
     spec = ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=n, seed=seed,
                        burn_in=burn_in, gamma=gamma)
-    rng = _rng(seed)
-    x = rng.random()
-    scale = 2.0**gamma
-    out = np.empty(burn_in + n)
-    for k in range(burn_in + n):
-        x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
-        if x > 1.0:
-            x = 1.0
-        out[k] = x
-    return Sample(values=out[burn_in:], spec=spec)
+    out = np.empty(n)
+    filled = 0
+    for block in lsv_blocks(spec):
+        out[filled:filled + len(block)] = block
+        filled += len(block)
+    return Sample(values=out, spec=spec)
 
 
 def generate(spec: ProcessSpec) -> Sample:

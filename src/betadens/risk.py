@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DomainError, EmptyEstimate, TrialError
 from .estimators import (PiecewisePolyDensity, chain_histogram, histogram_estimate,
-                         kernel_estimate)
+                         kernel_estimate, lsv_histogram)
 from .kernels import kernel_by_name, silverman_bandwidth
-from .processes import REGISTER_KINDS, ProcessSpec, generate
+from .processes import REGISTER_KINDS, ProcessKind, ProcessSpec, generate
 from .quadrature import integrate_adaptive
 from .schedules import histogram_bins_bv
 
@@ -211,13 +211,16 @@ EstimatorSpec = HistogramSpec | KernelEstimatorSpec
 def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     """The estimate `config` of a realization of `spec`.  A histogram of the
     binary chain or of its piecewise transform is counted from the chain's
-    registers (`chain_histogram`), any other estimate is built from
-    generate(spec); both give the same bits."""
+    registers (`chain_histogram`), one of an lsv trajectory block by block
+    (`lsv_histogram`), any other estimate is built from generate(spec); all
+    give the same bits."""
     if isinstance(config, HistogramSpec):
         m = config.m if config.m is not None else histogram_bins_bv(spec.n,
                                                                     config.bins_constant)
         if spec.kind in REGISTER_KINDS:
             return chain_histogram(spec, m)
+        if spec.kind is ProcessKind.LSV_TRAJECTORY:
+            return lsv_histogram(spec, m)
         return histogram_estimate(generate(spec), m)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)

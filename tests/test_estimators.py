@@ -10,7 +10,8 @@ from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError,
                       UnsupportedDegree, build_poly_basis, estimate_mass, generate,
                       histogram_estimate, kernel_estimate, projection_estimate,
                       silverman_bandwidth)
-from betadens.estimators import _GATHER_ELEMENTS, _prefix_bins, chain_histogram
+from betadens.estimators import (_GATHER_ELEMENTS, _prefix_bins, chain_histogram,
+                                 lsv_histogram)
 from betadens.processes import PREFIX_BITS, REGISTER_KINDS, piecewise_quantile
 
 
@@ -250,6 +251,11 @@ class TestChainHistogram:
         lsv = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=10, seed=1, gamma=0.5)
         with pytest.raises(DomainError, match="chain registers"):
             chain_histogram(lsv, 4)
+
+    @pytest.mark.parametrize("kind", REGISTER_KINDS)
+    def test_lsv_count_refuses_other_processes(self, kind):
+        with pytest.raises(DomainError, match="not an lsv trajectory"):
+            lsv_histogram(ProcessSpec(kind, n=10, seed=1), 4)
 
 
 class TestProjection:

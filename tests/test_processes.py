@@ -262,15 +262,19 @@ class TestLsvMap:
         assert s.values[0] == lsv_step(y0, 0.3)
 
     def test_trajectory_equals_folded_steps(self):
-        seed, gamma, n = 12, 0.6, 400
-        for burn_in in (0, 1, 37):
+        # the last pairs put the end of the burn-in and the end of the
+        # trajectory on both sides of a block edge
+        seed, gamma = 12, 0.6
+        for n, burn_in in ((400, 0), (400, 1), (400, 37), (1, _BLOCK - 1), (1, _BLOCK),
+                           (2, _BLOCK - 1), (_BLOCK + 1, _BLOCK - 1), (_BLOCK, _BLOCK + 1),
+                           (_BLOCK - 1, 1), (2 * _BLOCK + 1, 0)):
             s = lsv_trajectory(n, gamma, burn_in=burn_in, seed=seed)
             x = np.random.Generator(np.random.Philox(key=seed)).random()
             manual = []
             for _ in range(burn_in + n):
                 x = lsv_step(x, gamma)
                 manual.append(x)
-            assert np.array_equal(s.values, np.array(manual[burn_in:])), burn_in
+            assert np.array_equal(s.values, np.array(manual[burn_in:])), (n, burn_in)
 
     def test_values_in_unit_interval(self):
         s = lsv_trajectory(5000, 0.75, seed=8)

@@ -3,18 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
                       ProcessSpec, TrialError, binning_bias,
-                      envelope_check, gaussian,
+                      envelope_check, gaussian, histogram_bins_lsv,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
-from betadens import Sample, build_estimate, generate
+from betadens import Sample, build_estimate, generate, lsv_trajectory
 from betadens.config import load_config
-from betadens.processes import REGISTER_KINDS
+from betadens import processes
+from betadens.processes import _BLOCK, REGISTER_KINDS
 from betadens.risk import _trial_risk
 from test_acceptance import REFERENCE_TABLE
 from test_runner import CONFIG_DIR
@@ -351,6 +352,40 @@ class TestBuildEstimate:
         got = build_estimate(spec, estimator)
         want = histogram_estimate(generate(spec), got.m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.sampled_from([0.25, 0.5, 0.75]),
+           n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 60_000]),
+           burn_in=st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000]),
+           seed=st.sampled_from([0, 7, 2**64 - 1]),
+           m=st.sampled_from([None, 1, 253, 254, 255, 256]))
+    @example(gamma=0.75, n=_BLOCK + 1, burn_in=_BLOCK - 1, seed=7, m=None)
+    @example(gamma=0.25, n=1, burn_in=_BLOCK, seed=2**64 - 1, m=256)
+    @example(gamma=0.5, n=60_000, burn_in=1000, seed=0, m=253)
+    def test_counted_lsv_histogram_equals_the_trajectory_histogram(self, gamma, n, burn_in,
+                                                                   seed, m):
+        # m None is the lsv schedule of n and gamma
+        m = histogram_bins_lsv(n, gamma) if m is None else m
+        spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=n, seed=seed, burn_in=burn_in,
+                           gamma=gamma)
+        got = build_estimate(spec, HistogramSpec(m=m))
+        want = histogram_estimate(lsv_trajectory(n, gamma, burn_in, seed), m)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_lsv_start_state_nan_is_refused(self, monkeypatch):
+        class NanStart:
+            def random(self):
+                return math.nan
+
+        monkeypatch.setattr(processes, "_rng", lambda seed: NanStart())
+        spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=50, seed=3, gamma=0.5)
+        with pytest.raises(DomainError, match=r"lsv samples live in \[0, 1\]"):
+            generate(spec)
+        with pytest.raises(DomainError, match=r"lsv samples live in \[0, 1\]"):
+            build_estimate(spec, HistogramSpec())
+        # master seed 1, so trial 1 runs seed 1 ^ 1 = 0
+        with pytest.raises(TrialError, match=r"trial 1 \(seed 0\)"):
+            monte_carlo_risk(spec, HistogramSpec(), uniform01(), trials=2, workers=1)
 
     @pytest.mark.parametrize("kind", list(ProcessKind))
     def test_zero_bins_raise_for_every_process(self, kind):

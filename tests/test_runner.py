@@ -1,4 +1,9 @@
+import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +16,17 @@ from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_c
 from betadens.csvio import read_csv
 from betadens.runner import _RUNNERS, run_experiment
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+
+# runs `betadens run` as the child of a fresh interpreter and prints the
+# child's ru_maxrss (kilobytes on Linux); a process started by the test
+# process itself would start from the test process's own peak, which exec keeps
+_RUN_AND_REPORT_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "betadens.cli", "run", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
 
 
 def _run(text, out):
@@ -146,6 +161,27 @@ class TestCli:
         (expected,) = _run("experiment = risk-table-sweep\nn_grid = 500\ntrials = 2\n"
                            "master_seed = 5\n", tmp_path / "expected")
         assert (out_dir / "risk_table.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kilobytes")
+    def test_shipped_lsv_figure_at_full_size(self, tmp_path):
+        # the 10^7-step figure, counted block by block in a fresh interpreter:
+        # the benchmark's golden bytes (member 0 is the shipped seed) in
+        # well under the ~265 MB that holding the whole trajectory took
+        name = "figure_lsv_gamma075_n10000000"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_RSS,
+                                str(CONFIG_DIR / f"{name}.cfg"), "--out", str(tmp_path)],
+                               env=env, capture_output=True, text=True, check=True)
+        goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
+        want = {key.split("/", 1)[1]: digest
+                for key, digest in goldens["figures"]["full"][0].items()
+                if key.startswith(f"{name}/")}
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+        assert got == want and len(want) == 2
+        peak_mb = int(child.stdout.split()[-1]) / 1024
+        assert peak_mb < 100, peak_mb
 
     def test_run_coefficients_config(self, tmp_path):
         path = CONFIG_DIR / "coefficients.cfg"
