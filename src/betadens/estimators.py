@@ -19,9 +19,10 @@ from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, Sample, chain_bin
                         lsv_blocks, register_values)
 from .quadrature import panel_nodes
 
-# sample values one gather of KernelDensity.evaluate holds at most; bounds
-# its temporaries (about 64 KB each) whatever the number of query points
-_GATHER_ELEMENTS = 8192
+# sample values one gather of KernelDensity.evaluate holds at most (unless
+# one window is wider); bounds its one window buffer to 256 KB whatever the
+# number of query points
+_GATHER_ELEMENTS = 32768
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +51,13 @@ class KernelDensity:
         """f_n at each x, bit for bit the sum of K over each point's window.
 
         The sample values within h * support_radius of x form a contiguous
-        window of the sorted sample.  Points with equal window widths w are
-        gathered into (k, w) rows, at most _GATHER_ELEMENTS values at a time,
-        and each row is summed along its contiguous axis: the same pairwise
-        order as summing the window alone.
+        window of the sorted sample.  One strided view over the sample,
+        padded by the widest window, holds each window as the head of a row.
+        Points sorted by window width w are gathered from it into one
+        contiguous (k, w) copy per width, at most _GATHER_ELEMENTS values at
+        a time; u = (x - v) / h and then K(u) overwrite that copy, and each
+        row is summed along its contiguous axis: the same pairwise order as
+        summing the window alone.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self.sorted_values
@@ -62,18 +66,29 @@ class KernelDensity:
         lo = np.searchsorted(v, x - r, side="left")
         width = np.searchsorted(v, x + r, side="right") - lo
         out = np.zeros_like(x)
+        widest = int(width.max(initial=0))
+        if widest == 0:
+            return out
+        # row i is v[i:i + widest], padded past the end; a window of w values
+        # from lo has lo + w <= n, so it is the first w values of row lo
+        view = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((v, np.zeros(widest - 1))), widest)
+        # a run of one width w > 0 starts wherever the sorted width grows;
+        # points with empty windows (w = 0) come first and keep a zero sum
         order = np.argsort(width, kind="stable")
-        groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
-        for group in groups:
-            w = int(width[group[0]])
-            if w == 0:
-                continue
-            offsets = np.arange(w)
+        width, lo, xs = width[order], lo[order], x[order]
+        runs = [*np.flatnonzero(np.diff(width, prepend=0)).tolist(), len(x)]
+        sums = np.zeros_like(x)
+        for start, stop in zip(runs[:-1], runs[1:]):
+            w = int(width[start])
             rows = max(1, _GATHER_ELEMENTS // w)
-            for start in range(0, len(group), rows):
-                idx = group[start:start + rows]
-                window = v[lo[idx, None] + offsets]
-                out[idx] = self.kernel.eval((x[idx, None] - window) / h).sum(axis=1)
+            for i in range(start, stop, rows):
+                j = min(i + rows, stop)
+                u = view[lo[i:j], :w]
+                np.subtract(xs[i:j, None], u, out=u)
+                u /= h
+                sums[i:j] = self.kernel.overwrite(u).sum(axis=1)
+        out[order] = sums
         return out / (self.n * h)
 
 

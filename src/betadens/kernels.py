@@ -1,4 +1,15 @@
-"""Bounded-variation kernels and the rule-of-thumb bandwidth."""
+"""Bounded-variation kernels and the rule-of-thumb bandwidth.
+
+Each kernel formula is written once, as a function that overwrites a float64
+array u with K(u) and returns it: `KernelDensity.evaluate` calls it on the
+window buffer it has just filled, and `KernelSpec.eval` on a copy of its
+argument.  Each gives the bits of the allocating form
+`np.where(|u| <= r, K, 0)` (`np.maximum(1 - |u|, 0)` for the triangle).  For
+Epanechnikov, 0.75 (1 - u u) is kept where |u| <= 1 and is negative
+everywhere else: |u| > 1, ±inf included, gives u u >= 1 + 2^-51.  So
+`fmax(., 0)` gives +0.0 there, as `np.where` does, and also for a NaN, which
+`fmax` drops where `maximum` would keep it.
+"""
 
 from __future__ import annotations
 
@@ -12,18 +23,21 @@ from .processes import Sample
 
 
 def _epanechnikov(u):
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    u *= u
+    np.subtract(1.0, u, out=u)
+    u *= 0.75
+    return np.fmax(u, 0.0, out=u)
 
 
 def _rectangular(u):
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 0.5, 1.0, 0.0)
+    np.abs(u, out=u)
+    return np.less_equal(u, 0.5, out=u)
 
 
 def _triangular(u):
-    u = np.asarray(u, dtype=float)
-    return np.maximum(1.0 - np.abs(u), 0.0)
+    np.abs(u, out=u)
+    np.subtract(1.0, u, out=u)
+    return np.maximum(u, 0.0, out=u)
 
 
 @dataclass(frozen=True)
@@ -34,11 +48,12 @@ class KernelSpec:
     Lebesgue L1 norm of K; both are recorded analytically and cross-checked
     against grid/quadrature oracles in the test suite.  kinks lists every u
     where K is not smooth, in increasing order; K is a polynomial between
-    consecutive kinks and zero beyond the outer ones.
+    consecutive kinks and zero beyond the outer ones.  overwrite(u) replaces
+    the float64 array u by K(u) and returns it.
     """
 
     name: str
-    eval: Callable[[np.ndarray], np.ndarray]
+    overwrite: Callable[[np.ndarray], np.ndarray]
     total_variation: float
     l1_norm: float
     kinks: tuple[float, ...]
@@ -46,6 +61,10 @@ class KernelSpec:
     @property
     def support_radius(self) -> float:
         return max(-self.kinks[0], self.kinks[-1])
+
+    def eval(self, u) -> np.ndarray:
+        """K(u) as a new float array; u itself is left unchanged."""
+        return self.overwrite(np.array(u, dtype=float))
 
 
 EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov,

@@ -71,7 +71,7 @@ class TestVectorizedEvaluate:
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_window_wider_than_one_gather(self, kernel):
         rng = np.random.default_rng(17)
-        values = rng.standard_normal(12000)
+        values = rng.standard_normal(48000)
         est = kernel_estimate(_sample(values), KERNELS[kernel], 3.0)
         x = np.concatenate([np.linspace(-5.0, 5.0, 37), values[:5]])
         r = est.bandwidth * est.kernel.support_radius

@@ -66,6 +66,38 @@ def test_kinks_split_kernel_into_polynomials(kernel):
         assert not pieces_fit(kernel.kinks[:i] + kernel.kinks[i + 1:])
 
 
+# the allocating np.where / np.maximum form of each kernel: the reference
+# for the bits of its in-place form
+_ALLOCATING_FORMS = {
+    "epanechnikov": lambda u: np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0),
+    "rectangular": lambda u: np.where(np.abs(u) <= 0.5, 1.0, 0.0),
+    "triangular": lambda u: np.maximum(1.0 - np.abs(u), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_in_place_form_has_the_bits_of_the_allocating_form(name):
+    edges = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+             0.5, -0.5, np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0),
+             np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(2024)
+    u = np.concatenate([edges, rng.uniform(-1.001, 1.001, 10**6)])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _ALLOCATING_FORMS[name](u)
+        got = KERNELS[name].overwrite(u.copy())
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [EPANECHNIKOV, RECTANGULAR, TRIANGULAR])
+def test_eval_leaves_its_argument_unchanged(kernel):
+    u = np.linspace(-2.0, 2.0, 101)
+    before = u.copy()
+    k = kernel.eval(u)
+    assert np.array_equal(u, before) and not np.shares_memory(k, u)
+    assert np.array_equal(kernel.eval(list(u)), k)
+    assert kernel.eval(float(u[60])) == k[60]
+
+
 def test_known_analytic_values():
     assert EPANECHNIKOV.total_variation == 1.5
     assert RECTANGULAR.total_variation == 2.0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from betadens import ConfigError, histogram_bins_lsv, risk
+from betadens import ConfigError, ProcessKind, ProcessSpec, histogram_bins_lsv, risk
 from betadens.cli import main
 from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_config,
                              serialize_config)
@@ -31,6 +31,15 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 def _run(text, out):
     return run_experiment(parse_config(text), out_dir=out)
+
+
+def _golden_digests(workload, name):
+    # the benchmark's recorded digests of member 0, whose inputs are the
+    # shipped seeds, for the outputs of config `name`
+    goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
+    return {key.split("/", 1)[1]: digest
+            for key, digest in goldens[workload]["full"][0].items()
+            if key.startswith(f"{name}/")}
 
 
 def _assert_valid_svg(path):
@@ -173,15 +182,39 @@ class TestCli:
         child = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_RSS,
                                 str(CONFIG_DIR / f"{name}.cfg"), "--out", str(tmp_path)],
                                env=env, capture_output=True, text=True, check=True)
-        goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
-        want = {key.split("/", 1)[1]: digest
-                for key, digest in goldens["figures"]["full"][0].items()
-                if key.startswith(f"{name}/")}
+        want = _golden_digests("figures", name)
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
         assert got == want and len(want) == 2
         peak_mb = int(child.stdout.split()[-1]) / 1024
         assert peak_mb < 100, peak_mb
+
+    @pytest.mark.parametrize("name", ["figure_kernel_gaussian_n1000",
+                                      "figure_kernel_gaussian_n5000"])
+    def test_shipped_kernel_figure_at_full_size(self, tmp_path, name):
+        # every point of the figure grid is a kernel window sum: the
+        # benchmark's golden bytes pin them bit for bit
+        files = run_experiment(load_config(CONFIG_DIR / f"{name}.cfg"), tmp_path)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        want = _golden_digests("figures", name)
+        assert got == want and len(want) == 2
+
+    def test_shipped_kernel_risk_at_full_size(self):
+        # the kernel_risk inputs: n = 1,000, Silverman bandwidth, 2 trials
+        # at the config's seed; each trial's L1 risk is pinned by its hex
+        cfg = load_config(CONFIG_DIR / "figure_kernel_gaussian_n1000.cfg")
+        assert cfg.bandwidth == "silverman"
+        process = ProcessSpec(kind=ProcessKind.AR1_GAUSSIAN, n=cfg.n, seed=0,
+                              burn_in=cfg.burn_in, mu=cfg.mu, sigma2=cfg.sigma2)
+        report = risk.monte_carlo_risk(
+            process, risk.KernelEstimatorSpec(kernel_name=cfg.kernel, bandwidth=None),
+            risk.gaussian(cfg.mu, cfg.sigma2), trials=2, p=cfg.p,
+            master_seed=cfg.master_seed)
+        goldens = json.loads((ROOT / "perfbench" / "goldens.json").read_text())
+        want = goldens["kernel_risk"]["full"][0]
+        assert {f"trial-{t}": float(v).hex()
+                for t, v in enumerate(report.per_trial, 1)} == want
+        assert len(want) == 2
 
     def test_run_coefficients_config(self, tmp_path):
         path = CONFIG_DIR / "coefficients.cfg"
