@@ -7,6 +7,7 @@ and the bin count are its shape.  Histograms are the degree-0 special case.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -58,11 +59,19 @@ class KernelDensity:
         a time; u = (x - v) / h and then K(u) overwrite that copy, and each
         row is summed along its contiguous axis: the same pairwise order as
         summing the window alone.
+
+        Rounding can put a window value just past the support (several, when
+        they tie), where K's zeroing applies.  u never increases along a
+        sorted row, so a row's first and last u bound all of it.  Both are
+        computed for every window up front, as the copy computes them; a
+        copy whose rows all end within the support skips the zeroing, which
+        would change nothing there.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self.sorted_values
         h = self.bandwidth
-        r = h * self.kernel.support_radius
+        radius = self.kernel.support_radius
+        r = h * radius
         lo = np.searchsorted(v, x - r, side="left")
         width = np.searchsorted(v, x + r, side="right") - lo
         out = np.zeros_like(x)
@@ -78,6 +87,12 @@ class KernelDensity:
         order = np.argsort(width, kind="stable")
         width, lo, xs = width[order], lo[order], x[order]
         runs = [*np.flatnonzero(np.diff(width, prepend=0)).tolist(), len(x)]
+        # the rows with a window end past the support, in sorted order: u at
+        # both ends of each non-empty window, as its copy below gets them
+        first = runs[0]
+        top = (xs[first:] - v[lo[first:]]) / h > radius
+        bottom = (xs[first:] - v[lo[first:] + width[first:] - 1]) / h < -radius
+        past = (first + np.flatnonzero(top | bottom)).tolist()
         sums = np.zeros_like(x)
         for start, stop in zip(runs[:-1], runs[1:]):
             w = int(width[start])
@@ -87,7 +102,11 @@ class KernelDensity:
                 u = view[lo[i:j], :w]
                 np.subtract(xs[i:j, None], u, out=u)
                 u /= h
-                sums[i:j] = self.kernel.overwrite(u).sum(axis=1)
+                if bisect.bisect_left(past, i) == bisect.bisect_left(past, j):
+                    k = self.kernel.polynomial(u)
+                else:
+                    k = self.kernel.overwrite(u)
+                sums[i:j] = k.sum(axis=1)
         out[order] = sums
         return out / (self.n * h)
 

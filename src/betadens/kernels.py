@@ -1,14 +1,19 @@
 """Bounded-variation kernels and the rule-of-thumb bandwidth.
 
-Each kernel formula is written once, as a function that overwrites a float64
-array u with K(u) and returns it: `KernelDensity.evaluate` calls it on the
-window buffer it has just filled, and `KernelSpec.eval` on a copy of its
-argument.  Each gives the bits of the allocating form
-`np.where(|u| <= r, K, 0)` (`np.maximum(1 - |u|, 0)` for the triangle).  For
-Epanechnikov, 0.75 (1 - u u) is kept where |u| <= 1 and is negative
-everywhere else: |u| > 1, ±inf included, gives u u >= 1 + 2^-51.  So
-`fmax(., 0)` gives +0.0 there, as `np.where` does, and also for a NaN, which
-`fmax` drops where `maximum` would keep it.
+Each kernel is written as its polynomial on the support, a function that
+overwrites a float64 array u with it, plus one zeroing rule shared by all:
+the polynomial is exact where |u| <= support_radius and at most 0 beyond
+it, so K(u) = max(polynomial(u), 0).  For Epanechnikov, 0.75 (1 - u u) is
+negative everywhere off the support: |u| > 1, ±inf included, gives
+u u >= 1 + 2^-51.  On the support each polynomial is >= +0.0, so the zeroing
+changes nothing there, and `KernelDensity.evaluate` skips it for a window
+buffer whose every |u| is known to lie within the support.
+
+The result has the bits of the allocating form `np.where(|u| <= r, K, 0)`
+(`np.maximum(1 - |u|, 0)` for the triangle).  The two forms differ only at a
+NaN, which `np.where` sends to +0.0 and `np.maximum` keeps, so each kernel
+names the max that gives its form's NaN: `np.fmax` drops a NaN, `np.maximum`
+keeps it.
 """
 
 from __future__ import annotations
@@ -26,18 +31,18 @@ def _epanechnikov(u):
     u *= u
     np.subtract(1.0, u, out=u)
     u *= 0.75
-    return np.fmax(u, 0.0, out=u)
+    return u
 
 
 def _rectangular(u):
+    # the indicator itself: 1.0 on the support, +0.0 beyond it and at a NaN
     np.abs(u, out=u)
     return np.less_equal(u, 0.5, out=u)
 
 
 def _triangular(u):
     np.abs(u, out=u)
-    np.subtract(1.0, u, out=u)
-    return np.maximum(u, 0.0, out=u)
+    return np.subtract(1.0, u, out=u)
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,14 @@ class KernelSpec:
     Lebesgue L1 norm of K; both are recorded analytically and cross-checked
     against grid/quadrature oracles in the test suite.  kinks lists every u
     where K is not smooth, in increasing order; K is a polynomial between
-    consecutive kinks and zero beyond the outer ones.  overwrite(u) replaces
-    the float64 array u by K(u) and returns it.
+    consecutive kinks and zero beyond the outer ones.  polynomial(u)
+    replaces the float64 array u by K's polynomial on the support, and
+    zeroing(k, 0) (np.fmax or np.maximum) zeroes it beyond.
     """
 
     name: str
-    overwrite: Callable[[np.ndarray], np.ndarray]
+    polynomial: Callable[[np.ndarray], np.ndarray]
+    zeroing: np.ufunc
     total_variation: float
     l1_norm: float
     kinks: tuple[float, ...]
@@ -62,16 +69,21 @@ class KernelSpec:
     def support_radius(self) -> float:
         return max(-self.kinks[0], self.kinks[-1])
 
+    def overwrite(self, u: np.ndarray) -> np.ndarray:
+        """Replace the float64 array u by K(u) and return it."""
+        k = self.polynomial(u)
+        return self.zeroing(k, 0.0, out=k)
+
     def eval(self, u) -> np.ndarray:
         """K(u) as a new float array; u itself is left unchanged."""
         return self.overwrite(np.array(u, dtype=float))
 
 
-EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov,
+EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov, np.fmax,
                           total_variation=1.5, l1_norm=1.0, kinks=(-1.0, 1.0))
-RECTANGULAR = KernelSpec("rectangular", _rectangular,
+RECTANGULAR = KernelSpec("rectangular", _rectangular, np.fmax,
                          total_variation=2.0, l1_norm=1.0, kinks=(-0.5, 0.5))
-TRIANGULAR = KernelSpec("triangular", _triangular,
+TRIANGULAR = KernelSpec("triangular", _triangular, np.maximum,
                         total_variation=2.0, l1_norm=1.0, kinks=(-1.0, 0.0, 1.0))
 
 KERNELS = {k.name: k for k in (EPANECHNIKOV, RECTANGULAR, TRIANGULAR)}

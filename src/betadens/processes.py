@@ -123,11 +123,14 @@ def _windows16(n: int, burn_in: int, seed: int) -> np.ndarray:
     times -64 ... -1, followed by the innovations (the top bit of each 32-bit
     half of a raw Philox word, low half first, as `integers(0, 2)` draws
     them); log-doubling shift-or passes on uint8 build the 8-bit windows.
+    The initial state is `int(Generator.random() 2^64)`; `random()` is the
+    first raw word's top 53 bits times 2^-53, so that is the word with its
+    low 11 bits cleared.
     """
-    rng = _rng(seed)
-    x0 = np.uint64(int(rng.random() * 2.0**64))
     total = burn_in + n
-    words = rng.bit_generator.random_raw((total + 1) // 2).astype("<u8", copy=False)
+    raw = np.random.Philox(key=seed).random_raw(1 + (total + 1) // 2)
+    x0 = raw[0] & np.uint64(0xFFFF_FFFF_FFFF_F800)
+    words = raw[1:].astype("<u8", copy=False)
     bits = np.empty(64 + total, dtype=np.uint8)
     bits[:64] = ((x0 >> np.arange(64, dtype=np.uint64)) & np.uint64(1)) << np.uint64(7)
     # innovation j: the top bit of byte 3 of the j-th little-endian 32-bit half

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,34 @@ class TestVectorizedEvaluate:
         width = np.searchsorted(v, x + r, side="right") - np.searchsorted(v, x - r)
         assert width.max() > _GATHER_ELEMENTS and width.min() < _GATHER_ELEMENTS
         assert np.array_equal(est.evaluate(x), _evaluate_oracle(est, x))
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_ties_at_the_window_edges(self, kernel, h):
+        # one-decimal values, each repeated up to three times; queries at
+        # v +- h, v +- h r and their neighbours, where rounding puts window
+        # ends just past the support
+        base = np.round(np.random.default_rng(3).uniform(-2.0, 2.0, 40), 1)
+        values = _sample(np.concatenate([base, base[:15], base[:5]]))
+        calls = []
+
+        def count(name, f):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return f(*args, **kwargs)
+            return counted
+
+        spec = KERNELS[kernel]
+        spied = dataclasses.replace(spec, polynomial=count("polynomial", spec.polynomial),
+                                    zeroing=count("zeroing", spec.zeroing))
+        est = kernel_estimate(values, spied, h)
+        v, r = est.sorted_values, spec.support_radius
+        c = np.concatenate([v + h, v - h, v + h * r, v - h * r])
+        x = np.concatenate([c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)])
+        got = est.evaluate(x)
+        # some copies take the zeroing and some skip it
+        assert 0 < calls.count("zeroing") < calls.count("polynomial")
+        assert np.array_equal(got, _evaluate_oracle(kernel_estimate(values, spec, h), x))
 
 
 class TestKernelEstimate:

@@ -3,7 +3,8 @@ import pytest
 
 from betadens import KERNELS, ProcessKind, ProcessSpec, gaussian, generate, kernel_estimate
 from betadens import lp_distance, silverman_bandwidth
-from betadens.quadrature import integrate_adaptive, panel_nodes
+from betadens import quadrature
+from betadens.quadrature import _BATCH_PANELS, _NODES, integrate_adaptive, panel_nodes
 
 
 def _adaptive_oracle(f, edges, tol=1e-10, max_depth=24, depths=None):
@@ -60,8 +61,38 @@ def test_kernel_minus_gaussian_matches_oracle(kernel, p):
     value = integrate_adaptive(f, edges, tol=1e-8)
     assert value == _adaptive_oracle(f, edges, tol=1e-8)
     assert value == lp_distance(est, ref, p)
-    # batched: at most 128 panels of 32 nodes per call
-    assert max(f.sizes[:-1]) <= 4096
+    # batched: at most _BATCH_PANELS panels of _NODES nodes per call
+    assert max(f.sizes[:-1]) <= _BATCH_PANELS * _NODES
+
+
+def test_stacked_matmul_is_the_per_panel_dot():
+    # _panel_integrals takes one stacked matmul per batch in place of one
+    # np.dot per panel; the bits must not depend on the batch size
+    rng = np.random.default_rng(11)
+    for k in range(1, 601):
+        _, w = panel_nodes(np.sort(rng.uniform(-1.0, 1.0, k + 1)), _NODES)
+        w = w.reshape(k, _NODES)
+        fx = rng.standard_normal((k, _NODES)) * 10.0 ** rng.uniform(-300, 300, (k, 1))
+        got = np.matmul(w[:, None, :], fx[:, :, None]).ravel()
+        want = np.array([np.dot(wi, fi) for wi, fi in zip(w, fx)])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_batch_size_does_not_change_a_bit(kernel, monkeypatch):
+    sample = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
+                                  mu=10.0, sigma2=2.0))
+    est = kernel_estimate(sample, KERNELS[kernel], silverman_bandwidth(sample))
+    ref = gaussian(10.0, 2.0)
+    edges = np.unique(np.concatenate([ref.support, est.breakpoints()]))
+    edges = edges[(edges >= ref.support[0]) & (edges <= ref.support[1])]
+    f = lambda x: np.abs(est.evaluate(x) - ref.pdf(x))
+    values = []
+    for panels in (1, 7, 128, 512):
+        monkeypatch.setattr(quadrature, "_BATCH_PANELS", panels)
+        values.append(integrate_adaptive(f, edges, tol=1e-8))
+    assert values[0].hex() == values[1].hex() == values[2].hex() == values[3].hex()
+    assert values[0] == _adaptive_oracle(f, edges, tol=1e-8)
 
 
 def test_unlisted_kink_matches_oracle():
