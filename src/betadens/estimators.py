@@ -225,15 +225,18 @@ def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
     """Per register prefix, the bin of the chain values of `kind`, or m + 2
     where the prefix's registers fall in more than one bin.
 
-    Register -> value -> bin is non-decreasing: `_register_value` rounds
+    Register -> value -> bin is non-decreasing: `register_values` rounds
     once, every branch of `piecewise_quantile` is correctly rounded and the
     branches meet at 0.25 and 0.75 exactly, and then the clamped ceil.  So a
     prefix whose lowest and highest registers share a bin has one bin.
+    A prefix is the top bits of window 56, so prefix p's lowest register has
+    the halves hi = p 2^20 and lo = 0, its highest hi = p 2^20 + 2^20 - 1 and
+    lo = 2^32 - 1 (PREFIX_BITS = 12).
     """
-    low = np.arange(2**PREFIX_BITS, dtype=np.uint64) << np.uint64(64 - PREFIX_BITS)
-    high = low | np.uint64(2**(64 - PREFIX_BITS) - 1)
-    first = _bin_index(register_values(kind, low), m)
-    last = _bin_index(register_values(kind, high), m)
+    hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
+    lo = np.zeros_like(hi)
+    first = _bin_index(register_values(kind, hi, lo), m)
+    last = _bin_index(register_values(kind, hi | (2**(32 - PREFIX_BITS) - 1), ~lo), m)
     table = np.where(first == last, first, m + 2).astype(np.min_scalar_type(m + 2))
     table.flags.writeable = False
     return table

@@ -3,17 +3,14 @@
 Each kernel is written as its polynomial on the support, a function that
 overwrites a float64 array u with it, plus one zeroing rule shared by all:
 the polynomial is exact where |u| <= support_radius and at most 0 beyond
-it, so K(u) = max(polynomial(u), 0).  For Epanechnikov, 0.75 (1 - u u) is
+it, so K(u) = fmax(polynomial(u), 0).  For Epanechnikov, 0.75 (1 - u u) is
 negative everywhere off the support: |u| > 1, ±inf included, gives
 u u >= 1 + 2^-51.  On the support each polynomial is >= +0.0, so the zeroing
 changes nothing there, and `KernelDensity.evaluate` skips it for a window
 buffer whose every |u| is known to lie within the support.
 
-The result has the bits of the allocating form `np.where(|u| <= r, K, 0)`
-(`np.maximum(1 - |u|, 0)` for the triangle).  The two forms differ only at a
-NaN, which `np.where` sends to +0.0 and `np.maximum` keeps, so each kernel
-names the max that gives its form's NaN: `np.fmax` drops a NaN, `np.maximum`
-keeps it.
+The result has the bits of the allocating form `np.where(|u| <= r, K, 0)`,
+a NaN included: `np.fmax` drops it for +0.0, as the `np.where` form does.
 """
 
 from __future__ import annotations
@@ -55,12 +52,11 @@ class KernelSpec:
     where K is not smooth, in increasing order; K is a polynomial between
     consecutive kinks and zero beyond the outer ones.  polynomial(u)
     replaces the float64 array u by K's polynomial on the support, and
-    zeroing(k, 0) (np.fmax or np.maximum) zeroes it beyond.
+    `overwrite` zeroes it beyond with np.fmax(k, 0).
     """
 
     name: str
     polynomial: Callable[[np.ndarray], np.ndarray]
-    zeroing: np.ufunc
     total_variation: float
     l1_norm: float
     kinks: tuple[float, ...]
@@ -72,18 +68,18 @@ class KernelSpec:
     def overwrite(self, u: np.ndarray) -> np.ndarray:
         """Replace the float64 array u by K(u) and return it."""
         k = self.polynomial(u)
-        return self.zeroing(k, 0.0, out=k)
+        return np.fmax(k, 0.0, out=k)
 
     def eval(self, u) -> np.ndarray:
         """K(u) as a new float array; u itself is left unchanged."""
         return self.overwrite(np.array(u, dtype=float))
 
 
-EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov, np.fmax,
+EPANECHNIKOV = KernelSpec("epanechnikov", _epanechnikov,
                           total_variation=1.5, l1_norm=1.0, kinks=(-1.0, 1.0))
-RECTANGULAR = KernelSpec("rectangular", _rectangular, np.fmax,
+RECTANGULAR = KernelSpec("rectangular", _rectangular,
                          total_variation=2.0, l1_norm=1.0, kinks=(-0.5, 0.5))
-TRIANGULAR = KernelSpec("triangular", _triangular, np.maximum,
+TRIANGULAR = KernelSpec("triangular", _triangular,
                         total_variation=2.0, l1_norm=1.0, kinks=(-1.0, 0.0, 1.0))
 
 KERNELS = {k.name: k for k in (EPANECHNIKOV, RECTANGULAR, TRIANGULAR)}

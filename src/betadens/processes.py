@@ -36,7 +36,7 @@ class ProcessKind(enum.Enum):
 
 
 # the kinds whose values `register_values` makes, monotonically, from the
-# chain's 64-bit register
+# chain's 64-bit register hi 2^32 + lo
 REGISTER_KINDS = (ProcessKind.AR1_BINARY, ProcessKind.AR1_PIECEWISE)
 
 
@@ -107,17 +107,11 @@ def ar1_step(x: float, eps: int) -> float:
     return 0.5 * (x + eps)
 
 
-def _register_value(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """(hi 2^32 + lo) 2^-64 rounded once to nearest-even, as float(register) 2^-64 is."""
-    out = lo * 2.0**-32
-    out += hi
-    return np.multiply(out, 2.0**-32, out=out)
-
-
 def _windows16(n: int, burn_in: int, seed: int) -> np.ndarray:
     """The chain's bit stream as 16-bit windows; entry i is the window that
     ends at stream position i + 8, so the register of value k (0-based) is
-    entries 56, 40, 24 and 8 past burn_in + k, high half first.
+    entries 56, 40, 24 and 8 past burn_in + k: 56 and 40 are its high 32-bit
+    half, 24 and 8 its low half.
 
     The stream is the 64 bits of the uniform initial state, as innovations at
     times -64 ... -1, followed by the innovations (the top bit of each 32-bit
@@ -151,23 +145,27 @@ def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> S
     to the binary expansion of the state, so the k-th iterate is the 64-bit
     sliding window over one bit stream (`_windows16`).  Value k is the
     register W[k] 2^32 + W[k-32] of its 32-bit windows W times 2^-64, rounded
-    once (`_register_value`), so it is within 2^-64 of the exact real
-    recursion.
+    once (`register_values`), so it is within 2^-64 of the exact real
+    recursion; W[k] joins 16-bit windows 56 and 40, W[k-32] windows 24 and 8.
     """
     spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
     w16 = _windows16(n, burn_in, seed)
-    w32 = w16[16:].astype(np.uint32)    # entry i: window at position i + 24
-    w32 <<= 16
-    w32 |= w16[:-16]
-    values = _register_value(w32[40 + burn_in:], w32[8 + burn_in:8 + burn_in + n])
+    w32 = (w16[16:].astype(np.uint32) << 16) | w16[:-16]    # entry i: window at i + 24
+    values = register_values(ProcessKind.AR1_BINARY, w32[40 + burn_in:],
+                             w32[8 + burn_in:8 + burn_in + n])
     return Sample(values=values, spec=spec)
 
 
-def register_values(kind: ProcessKind, registers: np.ndarray) -> np.ndarray:
-    """The values `generate` gives a chain of `kind` at the uint64 registers."""
+def register_values(kind: ProcessKind, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The values `generate` gives a chain of `kind` at the registers
+    hi 2^32 + lo, from their uint32 halves: (hi 2^32 + lo) 2^-64 rounded once
+    to nearest-even, as float(register) 2^-64 is, then its quantile.  A
+    chain's hi joins its 16-bit windows 56 and 40, lo windows 24 and 8."""
     if kind not in REGISTER_KINDS:
         raise DomainError(f"{kind.value} values are not read off chain registers")
-    values = _register_value(registers >> np.uint64(32), registers & np.uint64(2**32 - 1))
+    values = lo * 2.0**-32
+    values += hi
+    values *= 2.0**-32
     return piecewise_quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
 
 
@@ -186,11 +184,9 @@ def chain_bin_counts(spec: ProcessSpec, table: np.ndarray, bins: int,
     counts = np.bincount(found, minlength=bins + 1)
     if counts[bins]:
         i = np.flatnonzero(found == bins) + (56 + spec.burn_in)
-        registers = w16[i].astype(np.uint64)
-        for offset in (16, 32, 48):
-            registers <<= np.uint64(16)
-            registers |= w16[i - offset]
-        counts[:bins] += np.bincount(bins_of(register_values(spec.kind, registers)),
+        hi = (w16[i].astype(np.uint32) << 16) | w16[i - 16]
+        lo = (w16[i - 32].astype(np.uint32) << 16) | w16[i - 48]
+        counts[:bins] += np.bincount(bins_of(register_values(spec.kind, hi, lo)),
                                      minlength=bins)
     return counts[:bins]
 

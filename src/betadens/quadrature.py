@@ -28,11 +28,6 @@ def panel_nodes(edges, nodes_per_panel: int = 64):
     return x.ravel(), w.ravel()
 
 
-def integrate_panels(f, edges, nodes_per_panel: int = 64) -> float:
-    x, w = panel_nodes(edges, nodes_per_panel)
-    return float(np.dot(w, f(x)))
-
-
 # 32-node panels per batched call of the integrand in integrate_adaptive
 _BATCH_PANELS = 512
 _NODES = 32

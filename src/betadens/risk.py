@@ -11,6 +11,9 @@ worker count.
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -239,6 +242,21 @@ def _trial_risk(task) -> float:
             f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: a daemon thread ends this worker with os._exit(1)
+    once its parent process has changed, polled every 0.2 s, so a run that is
+    killed leaves no worker behind.  Under the fork and spawn start methods
+    the parent is the process that made the pool; under forkserver it is the
+    fork server, which outlives a killed run, and the worker stays."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1.0,
               workers: int = 1) -> list[RiskReport]:
     """One RiskReport per row (process spec, estimator spec), all on one pool.
@@ -255,7 +273,7 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
              for spec, estimator in rows for t in range(1, trials + 1)]
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, trials // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
             values = list(pool.map(_trial_risk, tasks, chunksize=chunk))
     else:
         values = [_trial_risk(task) for task in tasks]

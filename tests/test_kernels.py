@@ -66,12 +66,12 @@ def test_kinks_split_kernel_into_polynomials(kernel):
         assert not pieces_fit(kernel.kinks[:i] + kernel.kinks[i + 1:])
 
 
-# the allocating np.where / np.maximum form of each kernel: the reference
-# for the bits of its in-place form
+# the allocating np.where form of each kernel: the reference for the bits
+# of its in-place form
 _ALLOCATING_FORMS = {
     "epanechnikov": lambda u: np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0),
     "rectangular": lambda u: np.where(np.abs(u) <= 0.5, 1.0, 0.0),
-    "triangular": lambda u: np.maximum(1.0 - np.abs(u), 0.0),
+    "triangular": lambda u: np.where(np.abs(u) <= 1.0, 1.0 - np.abs(u), 0.0),
 }
 
 

@@ -11,7 +11,7 @@ from betadens import (DomainError, ProcessKind, ProcessSpec, Sample,
                       generate, lsv_step, lsv_trajectory, piecewise_quantile,
                       piecewise_quantile_transform)
 from betadens import processes
-from betadens.processes import _BLOCK, _register_value, _rng
+from betadens.processes import _BLOCK, _rng, register_values
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -63,11 +63,14 @@ class TestAr1Chain:
     def test_two_halves_round_like_the_64_bit_register(self, reg):
         hi = np.array([reg >> 32], dtype=np.uint32)
         lo = np.array([reg & 0xFFFFFFFF], dtype=np.uint32)
-        want = (float(reg) * 2**-64).hex()
-        assert float(_register_value(hi, lo)[0]).hex() == want
+        value = float(reg) * 2**-64
+        binary = register_values(ProcessKind.AR1_BINARY, hi, lo)
+        piecewise = register_values(ProcessKind.AR1_PIECEWISE, hi, lo)
+        assert float(binary[0]).hex() == value.hex()
+        assert float(piecewise[0]).hex() == float(piecewise_quantile(value)).hex()
         # and so does the uint64 conversion that the oracle uses
         as_uint64 = np.array([reg], dtype=np.uint64).astype(np.float64)[0]
-        assert float(as_uint64 * 2**-64).hex() == want
+        assert float(as_uint64 * 2**-64).hex() == value.hex()
 
     def test_single_step_recursion(self):
         assert ar1_step(0.5, 1) == 0.75

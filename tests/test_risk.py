@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +23,7 @@ from betadens import processes
 from betadens.processes import _BLOCK, REGISTER_KINDS
 from betadens.risk import _trial_risk
 from test_acceptance import REFERENCE_TABLE
-from test_runner import CONFIG_DIR
+from test_runner import CONFIG_DIR, ROOT
 
 
 def _hist_from_heights(heights):
@@ -240,6 +245,34 @@ class TestBinningBias:
                 binning_bias(10, two_level(), p)
 
 
+# a kernel run on two workers that is still busy when it is killed
+_KILLED_RUN = """
+from betadens import KernelEstimatorSpec, ProcessKind, ProcessSpec, gaussian, monte_carlo_risk
+spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=5000, seed=0, mu=0.0, sigma2=1.0)
+monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0), trials=40, workers=2)
+"""
+
+
+def _proc_state(pid):
+    """(state, parent pid) of a running or zombie process, None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _running(pid):
+    state = _proc_state(pid)
+    return state is not None and state[0] != "Z"
+
+
+def _children(pid):
+    states = {int(e): _proc_state(e) for e in os.listdir("/proc") if e.isdigit()}
+    return [k for k, state in states.items() if state is not None and state[1] == pid]
+
+
 class TestMonteCarlo:
     SPEC = ProcessSpec(ProcessKind.AR1_PIECEWISE, n=1500, seed=0)
 
@@ -329,6 +362,35 @@ class TestMonteCarlo:
             with pytest.raises(DomainError):
                 risk_rows([(self.SPEC, HistogramSpec(m=0))], two_level(), trials=2, p=p,
                           workers=2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_killed_run_leaves_no_worker(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen([sys.executable, "-c", _KILLED_RUN], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(_children(child.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(1.0)
+            workers = _children(child.pid)
+            assert len(workers) == 2, workers
+            child.terminate()
+            child.wait()
+            deadline = time.monotonic() + 3
+            left = workers
+            while left and time.monotonic() < deadline:
+                time.sleep(0.05)
+                left = [w for w in workers if _running(w)]
+            # each worker has exited: it is gone or a zombie awaiting its reaper
+            assert not left, [_proc_state(w) for w in left]
+        finally:
+            child.kill()
+            child.wait()
+            for w in workers:
+                if _running(w):
+                    os.kill(w, signal.SIGKILL)
 
     def test_failing_later_row_names_its_trial(self):
         rows = [(replace(self.SPEC, seed=3), HistogramSpec(m=11)),
