@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from multiprocessing import parent_process
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -233,26 +235,29 @@ def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     raise DomainError(f"unknown estimator config {config!r}")
 
 
+def _trial_error(task, exc) -> TrialError:
+    trial, spec = task[:2]
+    return TrialError(f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}")
+
+
 def _trial_risk(task) -> float:
-    trial, spec, est_cfg, reference, p = task
+    _, spec, est_cfg, reference, p = task
     try:
         return lp_distance(build_estimate(spec, est_cfg), reference, p)
     except Exception as exc:
-        raise TrialError(
-            f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
+        raise _trial_error(task, exc) from exc
 
 
 def _exit_with_parent() -> None:
     """Pool initializer: a daemon thread ends this worker with os._exit(1)
-    once its parent process has changed, polled every 0.2 s, so a run that is
-    killed leaves no worker behind.  Under the fork and spawn start methods
-    the parent is the process that made the pool; under forkserver it is the
-    fork server, which outlives a killed run, and the worker stays."""
-    parent = os.getppid()
-
+    once the process that made the pool has exited, so a run that is killed
+    leaves no worker behind.  The thread waits on the parent's sentinel, the
+    read end of a pipe whose write end the run holds, under every start
+    method: spawn and forkserver workers get only their own pipe ends, and
+    under fork a later worker inherits an earlier one's write end, so the
+    workers end in a chain, newest first."""
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.2)
+        wait([parent_process().sentinel])
         os._exit(1)
     threading.Thread(target=watch, daemon=True).start()
 
@@ -265,6 +270,8 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
     every row go through one map in row then trial order, and each row is
     reduced from its own slice, so the reports do not depend on `workers`.
     A bad trial count or exponent raises DomainError before any trial runs.
+    A failing trial raises TrialError naming it and its seed; a worker that
+    dies raises one naming the first trial left without a value.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
@@ -273,8 +280,13 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
              for spec, estimator in rows for t in range(1, trials + 1)]
     if workers > 1 and len(tasks) > 1:
         chunk = max(1, trials // (4 * workers))
+        values = []
         with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
-            values = list(pool.map(_trial_risk, tasks, chunksize=chunk))
+            try:
+                for value in pool.map(_trial_risk, tasks, chunksize=chunk):
+                    values.append(value)
+            except BrokenProcessPool as exc:
+                raise _trial_error(tasks[len(values)], exc) from exc
     else:
         values = [_trial_risk(task) for task in tasks]
     reports = []

@@ -7,21 +7,27 @@ edges miss the reference density's jumps; see notes/decisions.md for why the
 exact-breaks protocol cannot match those rows and what was tried.
 """
 
+import hashlib
 import math
 import os
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import betadens as bd
-from betadens.config import parse_config
+from betadens.config import load_config, parse_config
 from betadens.csvio import read_csv
 from betadens.runner import run_experiment
 
 WORKERS = min(8, os.cpu_count() or 1)
+
+# the shipped sweep, and the sha256 of its risk_table.csv on any worker count
+SWEEP_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "table_risk_sweep.cfg"
+SWEEP_TABLE_SHA256 = "40660b25f1bcc5db1aaa96c71565374b7ee4aa2379c2a6aab97bcf6796ff6b4d"
 
 # published L1-integrated risk values this lab aims to reproduce
 REFERENCE_TABLE = {
@@ -40,24 +46,17 @@ def _report(number: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def risk_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    config = parse_config(
-        "experiment = risk-table-sweep\n"
-        "n_grid = 5000:110000:5000\n"
-        "trials = 300\n"
-        "p = 1\n"
-        "master_seed = 20240817\n"
-        f"threads = {WORKERS}\n"
-    )
+    config = load_config(SWEEP_CONFIG, {"threads": str(WORKERS)})
     start = time.perf_counter()
     files = run_experiment(config, out_dir=out)
     elapsed = time.perf_counter() - start
     _, rows = read_csv(files[0])
     parsed = [(int(n), int(m), float(risk), float(se)) for n, m, risk, se in rows]
-    return parsed, elapsed
+    return parsed, elapsed, files[0]
 
 
 def test_criterion_1_risk_table_reproduction(risk_sweep):
-    rows, elapsed = risk_sweep
+    rows, elapsed, _ = risk_sweep
     assert len(rows) == 22
     failures = []
     for n, m, risk, se in rows:
@@ -92,7 +91,7 @@ def test_criterion_1_risk_table_reproduction(risk_sweep):
 
 
 def test_criterion_2_rate_slope(risk_sweep):
-    rows, _ = risk_sweep
+    rows, _, _ = risk_sweep
     slope = bd.loglog_slope([(n, risk) for n, _, risk, _ in rows])
     ok = -0.45 <= slope <= -0.20
     _report(2, ok, f"log-log slope of the sweep is {slope:.4f}, expected in [-0.45, -0.20]")
@@ -269,7 +268,7 @@ def test_criterion_9_variance_scaling():
     assert ok
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, risk_sweep):
     text = ("experiment = risk-table-sweep\nn_grid = 600,1200\ntrials = 6\n"
             "master_seed = 99\nthreads = {threads}\n")
     first = run_experiment(parse_config(text.format(threads=1)), tmp_path / "a")
@@ -286,6 +285,11 @@ def test_criterion_10_determinism(tmp_path):
                                    trials=8, master_seed=3, workers=8)
     trials_equal = serial.per_trial == parallel.per_trial
 
-    ok = bytes_equal and workers_equal and trials_equal
-    _report(10, ok, "byte-identical CSV on rerun; 1 vs 8 workers identical")
-    assert bytes_equal and workers_equal and trials_equal
+    # the shipped sweep's table keeps its bytes
+    table = risk_sweep[2].read_bytes()
+    sweep_pinned = hashlib.sha256(table).hexdigest() == SWEEP_TABLE_SHA256
+
+    ok = bytes_equal and workers_equal and trials_equal and sweep_pinned
+    _report(10, ok, "byte-identical CSV on rerun; 1 vs 8 workers identical; "
+                    "shipped sweep table keeps its sha256")
+    assert bytes_equal and workers_equal and trials_equal and sweep_pinned

@@ -1,9 +1,11 @@
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -245,12 +247,24 @@ class TestBinningBias:
                 binning_bias(10, two_level(), p)
 
 
-# a kernel run on two workers that is still busy when it is killed
+# a kernel run on two workers that is still busy when it is killed; argv[1]
+# names its start method
 _KILLED_RUN = """
+import multiprocessing, sys
 from betadens import KernelEstimatorSpec, ProcessKind, ProcessSpec, gaussian, monte_carlo_risk
+multiprocessing.set_start_method(sys.argv[1])
 spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=5000, seed=0, mu=0.0, sigma2=1.0)
 monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0), trials=40, workers=2)
 """
+
+# the killed run's descendants: its two workers, plus the resource tracker
+# under spawn and forkserver, plus the fork server itself
+_RUN_DESCENDANTS = {"fork": 2, "spawn": 3, "forkserver": 4}
+
+
+def _exit_at_once(task):
+    """A trial that kills its worker process."""
+    os._exit(1)
 
 
 def _proc_state(pid):
@@ -268,9 +282,16 @@ def _running(pid):
     return state is not None and state[0] != "Z"
 
 
-def _children(pid):
+def _descendants(pid):
+    """Every live or zombie process below `pid`: children, grandchildren, ..."""
     states = {int(e): _proc_state(e) for e in os.listdir("/proc") if e.isdigit()}
-    return [k for k, state in states.items() if state is not None and state[1] == pid]
+    found, todo = [], [pid]
+    while todo:
+        parent = todo.pop()
+        kids = [k for k, state in states.items() if state is not None and state[1] == parent]
+        found += kids
+        todo += kids
+    return found
 
 
 class TestMonteCarlo:
@@ -364,33 +385,46 @@ class TestMonteCarlo:
                           workers=2)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-    def test_killed_run_leaves_no_worker(self):
+    @pytest.mark.parametrize("method", sorted(_RUN_DESCENDANTS))
+    def test_killed_run_leaves_no_worker(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        child = subprocess.Popen([sys.executable, "-c", _KILLED_RUN], env=env)
-        workers = []
+        child = subprocess.Popen([sys.executable, "-c", _KILLED_RUN, method], env=env)
+        expected = _RUN_DESCENDANTS[method]
+        below = []
         try:
             deadline = time.monotonic() + 60
-            while len(_children(child.pid)) < 2 and time.monotonic() < deadline:
+            while len(_descendants(child.pid)) < expected and time.monotonic() < deadline:
                 time.sleep(0.05)
             time.sleep(1.0)
-            workers = _children(child.pid)
-            assert len(workers) == 2, workers
+            below = _descendants(child.pid)
+            assert len(below) == expected, [(p, _proc_state(p)) for p in below]
             child.terminate()
             child.wait()
             deadline = time.monotonic() + 3
-            left = workers
+            left = below
             while left and time.monotonic() < deadline:
                 time.sleep(0.05)
-                left = [w for w in workers if _running(w)]
-            # each worker has exited: it is gone or a zombie awaiting its reaper
-            assert not left, [_proc_state(w) for w in left]
+                left = [p for p in below if _running(p)]
+            # each descendant has exited: it is gone or a zombie awaiting its reaper
+            assert not left, [_proc_state(p) for p in left]
         finally:
             child.kill()
             child.wait()
-            for w in workers:
-                if _running(w):
-                    os.kill(w, signal.SIGKILL)
+            for p in below:
+                if _running(p):
+                    os.kill(p, signal.SIGKILL)
+
+    def test_dead_worker_raises_trial_error(self, monkeypatch):
+        # every worker dies on its first task: no trial gets a value, so the
+        # error names trial 1 (seed 9 XOR 1) and chains the pool's own error
+        monkeypatch.setattr("betadens.risk._trial_risk", _exit_at_once)
+        with pytest.raises(TrialError, match=r"trial 1 \(seed 8\)") as info:
+            risk_rows([(replace(self.SPEC, seed=9), HistogramSpec(m=11))], two_level(),
+                      trials=4, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
 
     def test_failing_later_row_names_its_trial(self):
         rows = [(replace(self.SPEC, seed=3), HistogramSpec(m=11)),
