@@ -7,7 +7,6 @@ and the bin count are its shape.  Histograms are the degree-0 special case.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass
 
@@ -62,10 +61,11 @@ class KernelDensity:
 
         Rounding can put a window value just past the support (several, when
         they tie), where K's zeroing applies.  u never increases along a
-        sorted row, so a row's first and last u bound all of it.  Both are
-        computed for every window up front, as the copy computes them; a
-        copy whose rows all end within the support skips the zeroing, which
-        would change nothing there.
+        sorted row, so a row's first and last u bound all of it: a copy
+        whose rows all end within the support skips the zeroing, which
+        would change nothing there.  Any other copy is zeroed, including
+        one holding a NaN u, where x and a sample value are the same
+        infinity; that window sums to +0.0, as K gives.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self.sorted_values
@@ -87,12 +87,6 @@ class KernelDensity:
         order = np.argsort(width, kind="stable")
         width, lo, xs = width[order], lo[order], x[order]
         runs = [*np.flatnonzero(np.diff(width, prepend=0)).tolist(), len(x)]
-        # the rows with a window end past the support, in sorted order: u at
-        # both ends of each non-empty window, as its copy below gets them
-        first = runs[0]
-        top = (xs[first:] - v[lo[first:]]) / h > radius
-        bottom = (xs[first:] - v[lo[first:] + width[first:] - 1]) / h < -radius
-        past = (first + np.flatnonzero(top | bottom)).tolist()
         sums = np.zeros_like(x)
         for start, stop in zip(runs[:-1], runs[1:]):
             w = int(width[start])
@@ -102,7 +96,8 @@ class KernelDensity:
                 u = view[lo[i:j], :w]
                 np.subtract(xs[i:j, None], u, out=u)
                 u /= h
-                if bisect.bisect_left(past, i) == bisect.bisect_left(past, j):
+                # a NaN u (x and a sample value the same infinity) fails both
+                if u[:, 0].max() <= radius and u[:, -1].min() >= -radius:
                     k = self.kernel.polynomial(u)
                 else:
                     k = self.kernel.overwrite(u)

@@ -7,7 +7,7 @@ it, so K(u) = fmax(polynomial(u), 0).  For Epanechnikov, 0.75 (1 - u u) is
 negative everywhere off the support: |u| > 1, ±inf included, gives
 u u >= 1 + 2^-51.  On the support each polynomial is >= +0.0, so the zeroing
 changes nothing there, and `KernelDensity.evaluate` skips it for a window
-buffer whose every |u| is known to lie within the support.
+copy whose rows' own first and last u lie within the support.
 
 The result has the bits of the allocating form `np.where(|u| <= r, K, 0)`,
 a NaN included: `np.fmax` drops it for +0.0, as the `np.where` form does.

@@ -235,17 +235,12 @@ def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     raise DomainError(f"unknown estimator config {config!r}")
 
 
-def _trial_error(task, exc) -> TrialError:
-    trial, spec = task[:2]
-    return TrialError(f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}")
-
-
 def _trial_risk(task) -> float:
-    _, spec, est_cfg, reference, p = task
+    trial, spec, est_cfg, reference, p = task
     try:
         return lp_distance(build_estimate(spec, est_cfg), reference, p)
     except Exception as exc:
-        raise _trial_error(task, exc) from exc
+        raise TrialError(f"Monte Carlo trial {trial} (seed {spec.seed}) failed: {exc}") from exc
 
 
 def _exit_with_parent() -> None:
@@ -270,8 +265,9 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
     every row go through one map in row then trial order, and each row is
     reduced from its own slice, so the reports do not depend on `workers`.
     A bad trial count or exponent raises DomainError before any trial runs.
-    A failing trial raises TrialError naming it and its seed; a worker that
-    dies raises one naming the first trial left without a value.
+    A failing trial raises TrialError naming it and its seed; a pool whose
+    worker dies, or never starts, raises one saying that the pool broke and
+    naming the first trial left without a value.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
@@ -286,7 +282,9 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
                 for value in pool.map(_trial_risk, tasks, chunksize=chunk):
                     values.append(value)
             except BrokenProcessPool as exc:
-                raise _trial_error(tasks[len(values)], exc) from exc
+                trial, spec = tasks[len(values)][:2]
+                raise TrialError(f"Monte Carlo worker pool broke before trial {trial} "
+                                 f"(seed {spec.seed}) returned a value: {exc}") from exc
     else:
         values = [_trial_risk(task) for task in tasks]
     reports = []

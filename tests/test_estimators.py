@@ -110,6 +110,16 @@ class TestVectorizedEvaluate:
         assert 0 < calls.count("zeroing") < calls.count("polynomial")
         assert np.array_equal(got, _evaluate_oracle(kernel_estimate(values, spec, h), x))
 
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_same_infinity_window_sums_to_zero(self, kernel):
+        # x = ±inf meets the sample's own ±inf: u = inf - inf is NaN, and K
+        # gives +0.0 there, so that window sums to +0.0
+        values = [-math.inf, -0.4, 0.0, 0.0, 0.3, 1.1, math.inf]
+        est = kernel_estimate(_sample(values), KERNELS[kernel], 0.5)
+        x = np.array([math.inf, -math.inf, math.nan, *values[1:-1], 0.2])
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(est.evaluate(x), _evaluate_oracle(est, x))
+
 
 class TestKernelEstimate:
     def test_single_point_at_center(self):

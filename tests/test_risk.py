@@ -262,8 +262,8 @@ monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0), trials=40, wor
 _RUN_DESCENDANTS = {"fork": 2, "spawn": 3, "forkserver": 4}
 
 
-def _exit_at_once(task):
-    """A trial that kills its worker process."""
+def _exit_at_once(*task):
+    """A trial, or a pool initializer, that kills its worker process."""
     os._exit(1)
 
 
@@ -424,6 +424,16 @@ class TestMonteCarlo:
         with pytest.raises(TrialError, match=r"trial 1 \(seed 8\)") as info:
             risk_rows([(replace(self.SPEC, seed=9), HistogramSpec(m=11))], two_level(),
                       trials=4, workers=2)
+        assert isinstance(info.value.__cause__, BrokenProcessPool)
+
+    def test_pool_that_never_starts_says_it_broke(self, monkeypatch):
+        # no worker survives its initializer, so no trial runs: the error
+        # says that the pool broke, not that trial 1 (seed 7 XOR 1) failed
+        monkeypatch.setattr("betadens.risk._exit_with_parent", _exit_at_once)
+        with pytest.raises(TrialError, match=r"pool broke before trial 1 \(seed 6\) "
+                                             r"returned a value") as info:
+            monte_carlo_risk(ProcessSpec(ProcessKind.AR1_PIECEWISE, n=5000), HistogramSpec(m=17),
+                             two_level(), trials=4, workers=2, master_seed=7)
         assert isinstance(info.value.__cause__, BrokenProcessPool)
 
     def test_failing_later_row_names_its_trial(self):
