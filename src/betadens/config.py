@@ -36,7 +36,7 @@ _SCHEMA = {
                         {"trials", "p", "bins_constant", "master_seed", "threads",
                          "loglog", "burn_in"}),
     "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "burn_in"}),
-    "coefficient-report": (set(), {"k_max", "quad_nodes"}),
+    "coefficient-report": (set(), {"k_max"}),
 }
 
 EXPERIMENTS = tuple(_SCHEMA)
@@ -60,7 +60,6 @@ class ExperimentConfig:
     threads: int = 1
     grid_points: int = 512
     k_max: int = 20
-    quad_nodes: int = 64
     burn_in: int = DEFAULT_BURN_IN
     loglog: bool = False
 
@@ -192,8 +191,6 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     if not 1 <= config.k_max <= MAX_CLOSED_K:
         raise ConfigError(f"k_max must be >= 1 and <= {MAX_CLOSED_K}, got {config.k_max}")
-    if config.quad_nodes < 16:
-        raise ConfigError(f"quad_nodes must be >= 16, got {config.quad_nodes}")
     if not 0 <= config.master_seed < 2**64:
         raise ConfigError(
             f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}")

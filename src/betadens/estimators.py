@@ -27,7 +27,8 @@ _GATHER_ELEMENTS = 32768
 
 @dataclass(frozen=True, eq=False)
 class KernelDensity:
-    """f_n(x) = (1/(n h)) sum_k K((x - Y_k) / h) over a sorted copy of the sample."""
+    """f_n(x) = (1/(n h)) sum_k K((x - Y_k) / h) over a sorted copy of the
+    sample, whose values must be finite."""
 
     sorted_values: np.ndarray
     kernel: KernelSpec
@@ -35,6 +36,8 @@ class KernelDensity:
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.sorted_values, dtype=float))
+        if not np.all(np.isfinite(v)):
+            raise DomainError("kernel estimates need finite sample values")
         v.flags.writeable = False
         object.__setattr__(self, "sorted_values", v)
 
@@ -63,9 +66,8 @@ class KernelDensity:
         they tie), where K's zeroing applies.  u never increases along a
         sorted row, so a row's first and last u bound all of it: a copy
         whose rows all end within the support skips the zeroing, which
-        would change nothing there.  Any other copy is zeroed, including
-        one holding a NaN u, where x and a sample value are the same
-        infinity; that window sums to +0.0, as K gives.
+        would change nothing there.  Any other copy is zeroed.  An infinite
+        or NaN x has an empty window, so f_n is 0.0 there.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         v = self.sorted_values
@@ -96,7 +98,6 @@ class KernelDensity:
                 u = view[lo[i:j], :w]
                 np.subtract(xs[i:j, None], u, out=u)
                 u /= h
-                # a NaN u (x and a sample value the same infinity) fails both
                 if u[:, 0].max() <= radius and u[:, -1].min() >= -radius:
                     k = self.kernel.polynomial(u)
                 else:

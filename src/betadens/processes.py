@@ -24,7 +24,7 @@ from .errors import DomainError
 from .normal import norm_ppf
 
 DEFAULT_BURN_IN = 1000
-_BLOCK = 8192  # values per block of piecewise_quantile_transform and lsv_blocks
+_BLOCK = 8192  # values per block of lsv_blocks
 PREFIX_BITS = 12  # register bits that index the table of chain_bin_counts
 
 
@@ -216,37 +216,30 @@ def piecewise_quantile(u):
 
 
 def piecewise_quantile_transform(sample: Sample) -> Sample:
-    """piecewise_quantile block by block, so that its temporaries stay in cache."""
+    """Map a sample with values in [0, 1] through `piecewise_quantile`."""
     values = sample.values
     if not (0.0 <= values.min() and values.max() <= 1.0):
         raise DomainError("piecewise transform needs values in [0, 1]")
     spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
-    out = np.empty_like(values)
-    for start in range(0, len(values), _BLOCK):
-        out[start:start + _BLOCK] = piecewise_quantile(values[start:start + _BLOCK])
-    return Sample(values=out, spec=spec)
+    return Sample(values=piecewise_quantile(values), spec=spec)
 
 
 def lsv_step(x: float, gamma: float) -> float:
     """One iteration of the intermittent map.
 
     Left branch x(1 + 2^gamma x^gamma) on [0, 1/2), right branch 2x - 1 on
-    [1/2, 1].  The left branch may exceed 1 by a rounding ulp near 1/2; the
-    result is clamped only against that.
+    [1/2, 1].  In double precision the left branch stays at or below 1:
+    (2x)^gamma < 1 for x < 1/2, so with 1-ulp errors in the two powers the
+    factor 1 + 2^gamma x^gamma rounds to at most 2 + 2^-51, and the image of
+    the largest such x, 1/2 - 2^-54, to at most the rounded
+    (1/2 - 2^-54)(2 + 2^-51) = 1 + 2^-53 - 2^-105, which is 1.  So no image
+    leaves [0, 1] and none is clamped.
     """
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"map argument must lie in [0, 1], got {x!r}")
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma must lie in (0, 1), got {gamma!r}")
-    if x < 0.5:
-        t = x * (1.0 + 2.0**gamma * x**gamma)
-    else:
-        t = 2.0 * x - 1.0
-    if t > 1.0:
-        if t > 1.0 + 4.0 * np.finfo(float).eps:
-            raise DomainError(f"map image {t!r} exceeds [0, 1] beyond rounding")
-        t = 1.0
-    return t
+    return x * (1.0 + 2.0**gamma * x**gamma) if x < 0.5 else 2.0 * x - 1.0
 
 
 def lsv_blocks(spec: ProcessSpec):
@@ -254,10 +247,13 @@ def lsv_blocks(spec: ProcessSpec):
     (T^{b+1}(y), ..., T^{b+n}(y)) from a uniform start y, as float64 blocks of
     at most _BLOCK values, each checked for [0, 1] like a `Sample`.
 
-    The loop inlines the same branch arithmetic as lsv_step; iterates escape
-    the neutral fixed point in finitely many steps, so plain double precision
-    is used throughout.  Blocks cut steps b + 1, ..., b + n at multiples of
-    _BLOCK counted from the start, so the first and the last may be short.
+    The loop inlines the same branch arithmetic as lsv_step, whose images
+    stay in [0, 1] in double precision (the bound is in lsv_step), so no
+    iterate is clamped, and one that left [0, 1] would fail its block's
+    check; iterates escape the neutral fixed point in finitely many steps,
+    so plain double precision is used throughout.  Blocks cut steps
+    b + 1, ..., b + n at multiples of _BLOCK counted from the start, so the
+    first and the last may be short.
     """
     if spec.kind is not ProcessKind.LSV_TRAJECTORY:
         raise DomainError(f"{spec.kind.value} is not an lsv trajectory")
@@ -270,8 +266,6 @@ def lsv_blocks(spec: ProcessSpec):
         size = min(_BLOCK, total - start)
         for k in range(size):
             x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
-            if x > 1.0:
-                x = 1.0
             buf[k] = x
         if start + size > burn_in:
             block = np.array(buf[max(0, burn_in - start):size])

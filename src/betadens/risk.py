@@ -27,7 +27,6 @@ from .estimators import (PiecewisePolyDensity, chain_histogram, histogram_estima
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import REGISTER_KINDS, ProcessKind, ProcessSpec, generate
 from .quadrature import integrate_adaptive
-from .schedules import histogram_bins_bv
 
 _MAX_QUAD_PANELS = 2048
 
@@ -193,13 +192,9 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    """Histogram estimator configuration.
+    """Histogram estimator configuration: the regular histogram with m bins."""
 
-    With m unset, the bin count follows the BV schedule floor(C n^(1/3)).
-    """
-
-    m: int | None = None
-    bins_constant: float = 1.0
+    m: int
 
 
 @dataclass(frozen=True)
@@ -220,13 +215,11 @@ def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     (`lsv_histogram`), any other estimate is built from generate(spec); all
     give the same bits."""
     if isinstance(config, HistogramSpec):
-        m = config.m if config.m is not None else histogram_bins_bv(spec.n,
-                                                                    config.bins_constant)
         if spec.kind in REGISTER_KINDS:
-            return chain_histogram(spec, m)
+            return chain_histogram(spec, config.m)
         if spec.kind is ProcessKind.LSV_TRAJECTORY:
-            return lsv_histogram(spec, m)
-        return histogram_estimate(generate(spec), m)
+            return lsv_histogram(spec, config.m)
+        return histogram_estimate(generate(spec), config.m)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
         sample = generate(spec)

@@ -84,7 +84,9 @@ def _histogram_figure(out: Path, stem: str, estimate, column: str,
 def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
-    estimate = build_estimate(spec, HistogramSpec(config.m, config.bins_constant))
+    m = config.m if config.m is not None else histogram_bins_bv(config.n,
+                                                                config.bins_constant)
+    estimate = build_estimate(spec, HistogramSpec(m))
     reference = two_level()
     breaks, values = reference.step_representation()
     return _histogram_figure(
@@ -164,7 +166,7 @@ def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
 def _coefficient_report(config: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for k in range(1, config.k_max + 1):
-        beta1 = beta1_estimate(k, config.quad_nodes)
+        beta1 = beta1_estimate(k)
         bound = 2.0**-k
         rows.append((k, beta1, bound, beta1 / bound))
     coeff_path = emit_csv(out / "coefficients.csv",

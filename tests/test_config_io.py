@@ -44,7 +44,6 @@ _KEY_VALUES = {
     "threads": st.integers(1, 64),
     "grid_points": st.integers(2, 10**5),
     "k_max": st.integers(1, 40),
-    "quad_nodes": st.integers(16, 512),
     "burn_in": st.integers(0, 10**6),
     "loglog": st.booleans(),
 }

@@ -93,17 +93,9 @@ class TestBeta1:
             assert val <= 2.0**-k
             assert val == pytest.approx(3.0 * 2.0 ** -(k + 2), rel=1e-12)
 
-    def test_quadrature_node_stability(self):
-        for k in (1, 4, 10):
-            assert abs(beta1_estimate(k, 32) - beta1_estimate(k, 64)) < 1e-8
-
     def test_geometric_decay(self):
         vals = [beta1_estimate(k) for k in range(1, 12)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_node_floor(self):
-        with pytest.raises(DomainError):
-            beta1_estimate(3, quad_nodes=8)
 
 
 class TestPairLowerBounds:

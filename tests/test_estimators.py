@@ -110,15 +110,21 @@ class TestVectorizedEvaluate:
         assert 0 < calls.count("zeroing") < calls.count("polynomial")
         assert np.array_equal(got, _evaluate_oracle(kernel_estimate(values, spec, h), x))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sample_value_is_refused(self, bad):
+        with pytest.raises(DomainError, match="finite sample values"):
+            kernel_estimate(_sample([0.0, bad, 1.0]), EPANECHNIKOV, 0.5)
+
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_same_infinity_window_sums_to_zero(self, kernel):
-        # x = ±inf meets the sample's own ±inf: u = inf - inf is NaN, and K
-        # gives +0.0 there, so that window sums to +0.0
-        values = [-math.inf, -0.4, 0.0, 0.0, 0.3, 1.1, math.inf]
+    def test_non_finite_points_have_empty_windows(self, kernel):
+        # ±inf and NaN query points find no sample value within h * radius:
+        # 0.0, with no warning (the suite turns RuntimeWarning into an error)
+        values = [-0.4, 0.0, 0.0, 0.3, 1.1]
         est = kernel_estimate(_sample(values), KERNELS[kernel], 0.5)
-        x = np.array([math.inf, -math.inf, math.nan, *values[1:-1], 0.2])
-        with np.errstate(invalid="ignore"):
-            assert np.array_equal(est.evaluate(x), _evaluate_oracle(est, x))
+        x = np.array([math.inf, -math.inf, math.nan, *values, 0.2])
+        got = est.evaluate(x)
+        assert np.array_equal(got[:3], [0.0, 0.0, 0.0])
+        assert np.array_equal(got, _evaluate_oracle(est, x))
 
 
 class TestKernelEstimate:

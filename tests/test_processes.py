@@ -210,7 +210,7 @@ class TestTransforms:
             specials += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
         samples = [ar1_binary_chain(n, seed=n).values
                    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)]
-        # the special values once on their own and once across a block boundary
+        # the special values once on their own and once amid chain values
         across = samples[-1].copy()
         across[_BLOCK - 5:_BLOCK + 4] = specials
         for values in samples + [np.array(specials), across]:
@@ -257,6 +257,20 @@ class TestLsvMap:
             lsv_step(1.1, 0.5)
         with pytest.raises(DomainError):
             lsv_step(0.5, 1.5)
+
+    def test_left_branch_stays_in_unit_interval_below_one_half(self):
+        # the loop of lsv_blocks clamps nothing: in Python floats, as it
+        # computes, the left branch maps the 4,096 largest doubles below 1/2
+        # to at most 1 for every gamma of the grid
+        below_half = (np.float64(0.5).view(np.uint64)
+                      - np.arange(1, 4097, dtype=np.uint64)).view(np.float64).tolist()
+        gammas = [1e-12, 0.25, 0.5, 0.75, math.nextafter(1.0, 0.0),
+                  *np.linspace(0.01, 0.99, 99).tolist()]
+        for gamma in gammas:
+            scale = 2.0**gamma
+            top = max(x * (1.0 + scale * x**gamma) for x in below_half)
+            assert top <= 1.0, (gamma, top.hex())
+        assert max(below_half) == math.nextafter(0.5, 0.0)
 
     def test_single_iterate_matches_step(self):
         seed = 99

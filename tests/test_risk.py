@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
                       KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
                       ProcessSpec, TrialError, binning_bias,
-                      envelope_check, gaussian, histogram_bins_lsv,
+                      envelope_check, gaussian, histogram_bins_bv, histogram_bins_lsv,
                       histogram_estimate, loglog_slope, lp_distance,
                       monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
 from betadens import Sample, build_estimate, generate, lsv_trajectory
 from betadens.config import load_config
 from betadens import processes
 from betadens.processes import _BLOCK, REGISTER_KINDS
-from betadens.risk import _trial_risk
+from betadens.risk import _MAX_QUAD_PANELS, _trial_risk
 from test_acceptance import REFERENCE_TABLE
 from test_runner import CONFIG_DIR, ROOT
 
@@ -165,6 +165,21 @@ class TestLpDistance:
         d = lp_distance(est, ref, 1.0)
         oracle = _quad_oracle(est, ref, 1.0, *ref.support, total_nodes=2 * 10**5)
         assert d == pytest.approx(oracle, abs=1e-6)
+
+    def test_quadrature_panels_respaced_past_the_cap(self):
+        # n = 1100 Epanechnikov kinks (2 per value) exceed _MAX_QUAD_PANELS,
+        # so the panels are re-spaced evenly and no longer end on every kink;
+        # the adaptive refinement still meets the oracle, which splits at all
+        # of them, within 1e-6 (they differ by about 1.4e-8 here)
+        from betadens import EPANECHNIKOV, kernel_estimate
+        values = np.random.default_rng(17).normal(0.0, 1.0, 1100)
+        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0, mu=0.0,
+                           sigma2=1.0)
+        est = kernel_estimate(Sample(values=values, spec=spec), EPANECHNIKOV, 0.3)
+        assert len(est.breakpoints()) > _MAX_QUAD_PANELS + 1
+        ref = gaussian(0.0, 1.0)
+        oracle = _quad_oracle(est, ref, 1.0, *ref.support)
+        assert lp_distance(est, ref, 1.0) == pytest.approx(oracle, abs=1e-6)
 
     def test_rejects_bad_exponent_and_domain(self):
         est = _hist_from_heights([1.0])
@@ -325,11 +340,6 @@ class TestMonteCarlo:
                              trials=5, master_seed=1234)
         assert a == b
 
-    def test_bin_schedule_applied_when_m_unset(self):
-        rep = monte_carlo_risk(replace(self.SPEC, n=1000), HistogramSpec(), two_level(),
-                               trials=2, master_seed=3)
-        assert rep.n == 1000    # schedule floor(1000^(1/3)) = 10 exercised inside
-
     def test_kernel_estimator_route(self):
         spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=400, seed=0, mu=0.0, sigma2=1.0)
         rep = monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0),
@@ -453,10 +463,10 @@ class TestBuildEstimate:
                        st.sampled_from([253, 254, 255, 256, 4096, 5000])))
     def test_counted_histogram_equals_the_sample_histogram(self, kind, n, burn_in, seed, m):
         # m None is the BV schedule of n
+        m = histogram_bins_bv(n) if m is None else m
         spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in)
-        estimator = HistogramSpec(m=m)
-        got = build_estimate(spec, estimator)
-        want = histogram_estimate(generate(spec), got.m)
+        got = build_estimate(spec, HistogramSpec(m=m))
+        want = histogram_estimate(generate(spec), m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -488,10 +498,10 @@ class TestBuildEstimate:
         with pytest.raises(DomainError, match=r"lsv samples live in \[0, 1\]"):
             generate(spec)
         with pytest.raises(DomainError, match=r"lsv samples live in \[0, 1\]"):
-            build_estimate(spec, HistogramSpec())
+            build_estimate(spec, HistogramSpec(m=10))
         # master seed 1, so trial 1 runs seed 1 ^ 1 = 0
         with pytest.raises(TrialError, match=r"trial 1 \(seed 0\)"):
-            monte_carlo_risk(spec, HistogramSpec(), uniform01(), trials=2, workers=1)
+            monte_carlo_risk(spec, HistogramSpec(m=10), uniform01(), trials=2, workers=1)
 
     @pytest.mark.parametrize("kind", list(ProcessKind))
     def test_zero_bins_raise_for_every_process(self, kind):

@@ -96,14 +96,26 @@ class TestExperiments:
         _assert_valid_svg(files[1])
 
     def test_risk_slope_plot_outputs(self, tmp_path):
-        files = _run("experiment = risk-slope-plot\nn_grid = 500,1500,4000,9000\n"
-                     "trials = 3\nmaster_seed = 11\nloglog = true\n", tmp_path)
-        names = sorted(p.name for p in files)
-        assert names == ["risk_slope.svg", "risk_slope_summary.csv",
-                         "risk_slope_table.csv"]
-        _, summary = read_csv([p for p in files if p.name.endswith("summary.csv")][0])
-        slope = float(summary[0][0])
-        assert -1.0 < slope < 0.1
+        # loglog changes only the figure's axes, never the tables
+        tables = {}
+        for loglog, labels in ((True, ("log10 n", "log10 risk")), (False, ("n", "risk"))):
+            files = _run("experiment = risk-slope-plot\nn_grid = 500,1500,4000,9000\n"
+                         f"trials = 3\nmaster_seed = 11\nloglog = {loglog}\n",
+                         tmp_path / str(loglog))
+            by_name = {p.name: p for p in files}
+            assert sorted(by_name) == ["risk_slope.svg", "risk_slope_summary.csv",
+                                       "risk_slope_table.csv"]
+            _, summary = read_csv(by_name["risk_slope_summary.csv"])
+            slope = float(summary[0][0])
+            assert -1.0 < slope < 0.1
+            # the axis labels are the two 12-point texts, the y one rotated
+            texts = [t for t in ET.parse(by_name["risk_slope.svg"]).getroot().iter()
+                     if t.tag.endswith("text") and t.get("font-size") == "12"]
+            assert [t.text for t in texts] == list(labels)
+            assert "transform" in texts[1].attrib
+            tables[loglog] = [by_name[name].read_bytes() for name in
+                              ("risk_slope_table.csv", "risk_slope_summary.csv")]
+        assert tables[True] == tables[False]
 
     @pytest.mark.parametrize("experiment, missing", [
         ("kernel-gaussian-figure", "['mu', 'n', 'sigma2']"),
@@ -290,7 +302,7 @@ class TestCli:
          "n_grid entries must be >= 1"),
         (dict(experiment="lsv-histogram-figure", n=100, gamma=0.5, burn_in=-1),
          "burn_in must be >= 0"),
-        (dict(experiment="coefficient-report", quad_nodes=15), "quad_nodes must be >= 16"),
+        (dict(experiment="coefficient-report", k_max=0), "k_max must be >= 1 and <= 40"),
         (dict(experiment="coefficient-report", k_max=41), "k_max must be >= 1 and <= 40"),
         (dict(experiment="risk-table-sweep", n_grid=(500, 700, 500)),
          "n_grid entries must be distinct"),
