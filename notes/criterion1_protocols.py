@@ -82,7 +82,7 @@ def trial_values(n, m, seed, burn_in):
     ref = bd.two_level()
     rb, rv = ref.step_representation()
     u = bd.ar1_binary_chain(n, burn_in, seed).values
-    y = bd.piecewise_quantile(u)
+    y = ref.quantile(u)
     hist = bd.histogram_estimate(bd.Sample(values=y, spec=bd.ProcessSpec(
         bd.ProcessKind.AR1_PIECEWISE, n=n, seed=seed, burn_in=burn_in)), m)
     heights = hist.bin_values()
@@ -105,7 +105,7 @@ def trial_values(n, m, seed, burn_in):
     cube = n ** (1.0 / 3.0)
     for name, mm in (("m = round(n^(1/3))", round(cube)), ("m = ceil(n^(1/3))", math.ceil(cube))):
         out[name] = step_l1(np.arange(mm + 1) / mm, regular_heights(y, mm), rb, rv)
-    iid = bd.piecewise_quantile(np.random.Generator(np.random.Philox(key=seed)).random(n))
+    iid = ref.quantile(np.random.Generator(np.random.Philox(key=seed)).random(n))
     out["iid sampling"] = step_l1(edges, regular_heights(iid, m), rb, rv)
     y78 = quantile_levels(u, 7 / 8, 9 / 8)
     out["levels 7/8 and 9/8 (another density)"] = step_l1(

@@ -11,14 +11,13 @@ from .estimators import (DensityEstimate, KernelDensity, PiecewisePolyDensity,
 from .kernels import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR, KernelSpec,
                       kernel_by_name, silverman_bandwidth)
 from .normal import norm_cdf, norm_ppf
-from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, Sample,
-                        ar1_binary_chain, ar1_step, gaussian_quantile_transform,
-                        generate, lsv_step, lsv_trajectory, piecewise_quantile,
-                        piecewise_quantile_transform)
-from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec,
-                   ReferenceDensity, RiskReport, binning_bias, build_estimate,
-                   envelope_check, gaussian, loglog_slope, lp_distance,
-                   monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
+from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, ReferenceDensity,
+                        Sample, ar1_binary_chain, ar1_step, gaussian,
+                        gaussian_quantile_transform, generate, lsv_step, lsv_trajectory,
+                        piecewise_quantile_transform, step_density, two_level, uniform01)
+from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec, RiskReport,
+                   binning_bias, build_estimate, envelope_check, loglog_slope,
+                   lp_distance, monte_carlo_risk, risk_rows)
 from .schedules import (RateRegime, equivalent_density, histogram_bins_bv,
                         histogram_bins_lsv, kernel_bandwidth, lsv_rate_exponent)
 

@@ -27,8 +27,7 @@ _SCHEMA = {
     "kernel-gaussian-figure": ({"n", "mu", "sigma2"},
                                {"kernel", "bandwidth", "master_seed", "grid_points",
                                 "burn_in"}),
-    "histogram-two-level-figure": ({"n"},
-                                   {"m", "bins_constant", "master_seed", "burn_in"}),
+    "histogram-two-level-figure": ({"n"}, {"m", "master_seed", "burn_in"}),
     "risk-table-sweep": ({"n_grid"},
                          {"trials", "p", "bins_constant", "master_seed", "threads",
                           "burn_in"}),

@@ -222,9 +222,9 @@ def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
     where the prefix's registers fall in more than one bin.
 
     Register -> value -> bin is non-decreasing: `register_values` rounds
-    once, every branch of `piecewise_quantile` is correctly rounded and the
-    branches meet at 0.25 and 0.75 exactly, and then the clamped ceil.  So a
-    prefix whose lowest and highest registers share a bin has one bin.
+    once, each piece breaks[i] + (1/values[i])(u - cdf[i]) of the `two_level`
+    quantile rounds monotone steps and meets the next at 1/4 or 3/4 exactly,
+    then the clamped ceil.  So a prefix whose end registers share a bin has one bin.
     A prefix is the top bits of window 56, so prefix p's lowest register has
     the halves hi = p 2^20 and lo = 0, its highest hi = p 2^20 + 2^20 - 1 and
     lo = 2^32 - 1 (PREFIX_BITS = 12).

@@ -4,7 +4,8 @@ All processes are strictly stationary on [0, 1] (or transforms thereof):
 
 * the dyadic AR(1) chain X_{k+1} = (X_k + eps_{k+1}) / 2 with fair-coin
   innovations and uniform initial state,
-* its Gaussian and piecewise two-level quantile transforms,
+* its transforms by the quantile of a `ReferenceDensity`, the Gaussian or the
+  two-level density, whose `pdf` the estimates are compared with,
 * trajectories of the intermittent interval map with parameter gamma.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed,
@@ -15,6 +16,7 @@ Monte Carlo trials can derive independent streams as seed XOR trial index.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -63,12 +65,98 @@ class ProcessSpec:
             raise DomainError("gamma is required for lsv and forbidden otherwise")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
-        gaussian = self.kind is ProcessKind.AR1_GAUSSIAN
-        if gaussian != (self.mu is not None and self.sigma2 is not None):
+        is_gaussian = self.kind is ProcessKind.AR1_GAUSSIAN
+        if is_gaussian != (self.mu is not None and self.sigma2 is not None):
             raise DomainError("mu/sigma2 are required exactly for the gaussian transform")
-        if gaussian and not (math.isfinite(self.mu) and 0.0 < self.sigma2 < math.inf):
-            raise DomainError("need a finite mu and sigma2 in (0, inf), "
-                              f"got {self.mu}, {self.sigma2}")
+        if is_gaussian:
+            gaussian(self.mu, self.sigma2)   # raises on a bad mu or sigma2
+
+
+@dataclass(frozen=True)
+class ReferenceDensity:
+    """A marginal density: a step density (`breaks`, `values`) or N(mu, sigma2)."""
+
+    support: tuple[float, float]
+    breaks: tuple[float, ...] | None = None
+    values: tuple[float, ...] | None = None
+    mu: float | None = None
+    sigma2: float | None = None
+
+    def pdf(self, x) -> np.ndarray:
+        """The density at the points x.  A step density takes values[i] on
+        the closed piece [breaks[i], breaks[i+1]], the smaller of the two
+        values that meet at a break, and 0 off [breaks[0], breaks[-1]]."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.breaks is None:
+            sigma = math.sqrt(self.sigma2)
+            z = (x - self.mu) / sigma
+            return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+        breaks, values = self.step_representation()
+        # the pieces left and right of x, which differ only at a break
+        padded = np.concatenate([[np.inf], values, [np.inf]])
+        at = np.minimum(padded[np.searchsorted(breaks, x, side="left")],
+                        padded[np.searchsorted(breaks, x, side="right")])
+        return np.where((x >= breaks[0]) & (x <= breaks[-1]), at, 0.0)
+
+    def quantile(self, u) -> np.ndarray:
+        """The inverse CDF at u: piece by piece for a step density with positive
+        values, the end pieces extended; for the Gaussian mu + sigma norm_ppf(u)."""
+        u = np.asarray(u, dtype=float)
+        if self.breaks is None:
+            mu, sigma = self.mu, math.sqrt(self.sigma2)
+            return np.fromiter((mu + sigma * norm_ppf(p) for p in u.flat),
+                               dtype=float, count=u.size).reshape(u.shape)
+        breaks, slopes, cdf = self._pieces
+        i = np.searchsorted(cdf[1:-1], u, side="left")
+        return breaks[i] + slopes[i] * (u - cdf[i])
+
+    @functools.cached_property
+    def _pieces(self):
+        breaks, values = self.step_representation()
+        cdf = np.concatenate([[0.0], np.cumsum(np.diff(breaks) * values)])
+        return breaks, 1.0 / values, cdf
+
+    def step_representation(self):
+        """(breaks, values) when the density is piecewise constant, else None."""
+        if self.breaks is None:
+            return None
+        return np.asarray(self.breaks), np.asarray(self.values)
+
+
+def uniform01() -> ReferenceDensity:
+    return step_density((0.0, 1.0), (1.0,))
+
+
+@functools.cache   # one instance, so the quantile's pieces are made once
+def two_level() -> ReferenceDensity:
+    """The marginal of the piecewise chain: 1/2, 3/2, 1/2 on [0, 1]."""
+    return step_density((0.0, 0.25, 0.75, 1.0), (0.5, 1.5, 0.5))
+
+
+def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
+    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
+        raise DomainError(f"need a finite mu and sigma2 in (0, inf), got {mu}, {sigma2}")
+    sigma = math.sqrt(sigma2)
+    # mass outside a six-sigma window is below 1e-8, the quadrature budget
+    return ReferenceDensity(support=(mu - 6.0 * sigma, mu + 6.0 * sigma),
+                            mu=mu, sigma2=sigma2)
+
+
+def step_density(breaks, values) -> ReferenceDensity:
+    """Arbitrary piecewise-constant function on [breaks[0], breaks[-1]].
+
+    Not required to integrate to one; used as a comparison target, e.g. an
+    empirical mean histogram.
+    """
+    breaks = tuple(float(b) for b in breaks)
+    values = tuple(float(v) for v in values)
+    if len(breaks) != len(values) + 1:
+        raise DomainError("need one more break than values")
+    if not all(map(math.isfinite, breaks + values)):
+        raise DomainError("breaks and step values must be finite")
+    if any(b >= c for b, c in zip(breaks[:-1], breaks[1:])):
+        raise DomainError("breaks must be strictly increasing")
+    return ReferenceDensity(support=(breaks[0], breaks[-1]), breaks=breaks, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +254,7 @@ def register_values(kind: ProcessKind, hi: np.ndarray, lo: np.ndarray) -> np.nda
     values = lo * 2.0**-32
     values += hi
     values *= 2.0**-32
-    return piecewise_quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
+    return two_level().quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
 
 
 def chain_bin_counts(spec: ProcessSpec, table: np.ndarray, bins: int,
@@ -197,31 +285,16 @@ def gaussian_quantile_transform(sample: Sample, mu: float, sigma2: float) -> Sam
     values = sample.values
     if not (0.0 < values.min() and values.max() < 1.0):
         raise DomainError("gaussian transform needs values strictly inside (0, 1)")
-    sigma = math.sqrt(sigma2)
-    out = np.fromiter((mu + sigma * norm_ppf(u) for u in values),
-                      dtype=float, count=len(values))
-    return Sample(values=out, spec=spec)
-
-
-def piecewise_quantile(u):
-    """Closed-form quantile of the two-level density on [0, 1].
-
-    The density is 1/2 on [0, 1/4] and (3/4, 1], 3/2 on (1/4, 3/4]; its CDF
-    inverts branch by branch.
-    """
-    u = np.asarray(u, dtype=float)
-    return np.where(u <= 0.125, 2.0 * u,
-                    np.where(u <= 0.875, 0.25 + (2.0 / 3.0) * (u - 0.125),
-                             0.75 + 2.0 * (u - 0.875)))
+    return Sample(values=gaussian(mu, sigma2).quantile(values), spec=spec)
 
 
 def piecewise_quantile_transform(sample: Sample) -> Sample:
-    """Map a sample with values in [0, 1] through `piecewise_quantile`."""
+    """Map a sample with values in [0, 1] through the `two_level` quantile."""
     values = sample.values
     if not (0.0 <= values.min() and values.max() <= 1.0):
         raise DomainError("piecewise transform needs values in [0, 1]")
     spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
-    return Sample(values=piecewise_quantile(values), spec=spec)
+    return Sample(values=two_level().quantile(values), spec=spec)
 
 
 def lsv_step(x: float, gamma: float) -> float:

@@ -3,9 +3,11 @@
 The distance between a histogram and a piecewise-constant reference is
 computed exactly by merging the two breakpoint sets and summing closed-form
 pieces; everything else goes through panel quadrature split at all known
-breakpoints.  Monte Carlo trials derive their seeds as master_seed XOR trial
-index and are reduced in trial order, so reports are identical for any
-worker count.
+breakpoints.  Trial t of a row runs on seed row_seed XOR t, where a sweep's
+row_seed is master_seed XOR (n 0x9E3779B97F4A7C15 mod 2^64), and trials are
+reduced in trial order, so reports are identical for any worker count.
+Nearby master seeds share trials (masters 1 and 2 share 298 of 300 trial
+seeds in every row), so the next master seed is no independent replication.
 """
 
 from __future__ import annotations
@@ -25,83 +27,11 @@ from .errors import DomainError, EmptyEstimate, TrialError
 from .estimators import (PiecewisePolyDensity, chain_histogram, histogram_estimate,
                          kernel_estimate, lsv_histogram)
 from .kernels import kernel_by_name, silverman_bandwidth
-from .processes import REGISTER_KINDS, ProcessKind, ProcessSpec, generate
+from .processes import (REGISTER_KINDS, ProcessKind, ProcessSpec, ReferenceDensity,
+                        gaussian, generate)  # gaussian: re-exported as risk.gaussian
 from .quadrature import integrate_adaptive
 
 _MAX_QUAD_PANELS = 2048
-
-
-@dataclass(frozen=True)
-class ReferenceDensity:
-    """A reference density the estimators are compared against."""
-
-    kind: str
-    mu: float | None = None
-    sigma2: float | None = None
-    support: tuple[float, float] = (0.0, 1.0)
-    breaks: tuple[float, ...] | None = None
-    values: tuple[float, ...] | None = None
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "two-level":
-            # open middle piece and closed ends: 0.5 at x = 0 and x = 3/4,
-            # where the step pieces (a, b] in `breaks` give 0 and 1.5
-            inside = (x >= 0.0) & (x <= 1.0)
-            mid = (x > 0.25) & (x < 0.75)
-            return np.where(inside, np.where(mid, 1.5, 0.5), 0.0)
-        if self.kind == "gaussian":
-            sigma = math.sqrt(self.sigma2)
-            z = (x - self.mu) / sigma
-            return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-        if self.kind == "step":
-            return _step_value(*self.step_representation(), x)
-        raise DomainError(f"unknown reference kind {self.kind!r}")
-
-    def step_representation(self):
-        """(breaks, values) when the density is piecewise constant, else None."""
-        if self.breaks is None:
-            return None
-        return np.asarray(self.breaks), np.asarray(self.values)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.asarray(self.breaks if self.breaks is not None else self.support)
-
-
-def uniform01() -> ReferenceDensity:
-    return step_density((0.0, 1.0), (1.0,))
-
-
-def two_level() -> ReferenceDensity:
-    return ReferenceDensity(kind="two-level", support=(0.0, 1.0),
-                            breaks=(0.0, 0.25, 0.75, 1.0), values=(0.5, 1.5, 0.5))
-
-
-def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
-    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
-        raise DomainError(f"need a finite mu and sigma2 in (0, inf), got {mu}, {sigma2}")
-    sigma = math.sqrt(sigma2)
-    # mass outside a six-sigma window is below 1e-8, the quadrature budget
-    return ReferenceDensity(kind="gaussian", mu=mu, sigma2=sigma2,
-                            support=(mu - 6.0 * sigma, mu + 6.0 * sigma))
-
-
-def step_density(breaks, values) -> ReferenceDensity:
-    """Arbitrary piecewise-constant function on (breaks[0], breaks[-1]].
-
-    Not required to integrate to one; used as a comparison target, e.g. an
-    empirical mean histogram.
-    """
-    breaks = tuple(float(b) for b in breaks)
-    values = tuple(float(v) for v in values)
-    if len(breaks) != len(values) + 1:
-        raise DomainError("need one more break than values")
-    if not all(map(math.isfinite, breaks + values)):
-        raise DomainError("breaks and step values must be finite")
-    if any(b >= c for b, c in zip(breaks[:-1], breaks[1:])):
-        raise DomainError("breaks must be strictly increasing")
-    return ReferenceDensity(kind="step", support=(breaks[0], breaks[-1]),
-                            breaks=breaks, values=values)
 
 
 @dataclass(frozen=True)
@@ -148,7 +78,7 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
     eb = estimate.breakpoints()
     if not exact and len(eb) > _MAX_QUAD_PANELS:
         eb = np.linspace(eb[0], eb[-1], _MAX_QUAD_PANELS + 1)
-    rb = reference.breakpoints()
+    rb = np.asarray(reference.breaks or reference.support)
     cuts = np.unique(np.concatenate([
         [lo, hi], eb[(eb > lo) & (eb < hi)], rb[(rb > lo) & (rb < hi)],
     ]))
@@ -179,7 +109,7 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
         raise DomainError(f"bin count must be >= 1, got {m}")
     step = reference.step_representation()
     if step is None:
-        raise DomainError(f"binning bias needs a step reference, got {reference.kind!r}")
+        raise DomainError(f"binning bias needs a step reference, got {reference}")
     breaks, values = step
     edges = np.arange(m + 1) / m
     covered = np.clip(edges[:, None], breaks[:-1], breaks[1:]) - breaks[:-1]

@@ -10,9 +10,9 @@ import numpy as np
 from .config import ExperimentConfig, validate_config
 from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
-from .processes import ProcessKind, ProcessSpec
-from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, gaussian,
-                   loglog_slope, risk_rows, two_level)
+from .processes import ProcessKind, ProcessSpec, gaussian, two_level
+from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, loglog_slope,
+                   risk_rows)
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
 from .svg import SvgFigure
 
@@ -84,8 +84,7 @@ def _histogram_figure(out: Path, stem: str, estimate, column: str,
 def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
-    m = config.m if config.m is not None else histogram_bins_bv(config.n,
-                                                                config.bins_constant)
+    m = config.m if config.m is not None else histogram_bins_bv(config.n)
     estimate = build_estimate(spec, HistogramSpec(m))
     reference = two_level()
     breaks, values = reference.step_representation()

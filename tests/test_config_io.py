@@ -83,6 +83,13 @@ class TestParse:
             parse_config("experiment = risk-table-sweep\nn_grid = 10,20\n"
                          "trials = 2\ngamma = 0.5\n")
 
+    def test_two_level_figure_refuses_bins_constant(self):
+        # the figure takes m or the default schedule, never a bins_constant
+        # that its run would ignore
+        with pytest.raises(ConfigError, match="'bins_constant' does not belong"):
+            parse_config("experiment = histogram-two-level-figure\nn = 1000\nm = 5\n"
+                         "bins_constant = 3\n")
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="n_grid"):
             parse_config("experiment = risk-table-sweep\ntrials = 5\n")

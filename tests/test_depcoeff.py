@@ -3,7 +3,7 @@ import pytest
 
 from betadens import (CapacityError, DomainError, b0_exact, b0_staircase_scan,
                       beta1_estimate, beta2_pair_lower_bound, conditional_atoms,
-                      piecewise_quantile)
+                      two_level)
 
 
 class TestConditionalAtoms:
@@ -73,7 +73,7 @@ class TestB0:
         for k in (1, 2, 5, 9):
             for x0 in rng.random(4):
                 atoms = conditional_atoms(x0, k)
-                transformed = piecewise_quantile(atoms)
+                transformed = two_level().quantile(atoms)
                 w = 2.0**-k
                 below = np.arange(len(atoms)) * w
                 g = two_level_cdf(transformed)

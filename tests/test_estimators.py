@@ -13,7 +13,8 @@ from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelSpec
                       silverman_bandwidth)
 from betadens.estimators import (_GATHER_ELEMENTS, _prefix_bins, chain_histogram,
                                  lsv_histogram)
-from betadens.processes import PREFIX_BITS, REGISTER_KINDS, piecewise_quantile
+from betadens.processes import PREFIX_BITS, REGISTER_KINDS
+from test_processes import two_level_quantile_oracle
 
 
 def _sample(values):
@@ -242,7 +243,7 @@ def _pipeline_bins(kind, registers, m):
     # float(R) 2^-64, its quantile, then the clamped ceil of x m
     x = np.asarray(registers, dtype=np.uint64).astype(np.float64) * 2.0**-64
     if kind is ProcessKind.AR1_PIECEWISE:
-        x = piecewise_quantile(x)
+        x = two_level_quantile_oracle(x)
     return np.clip(np.ceil(x * m), 0, m + 1).astype(np.int64)
 
 

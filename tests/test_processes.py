@@ -8,10 +8,20 @@ from hypothesis import strategies as st
 
 from betadens import (DomainError, ProcessKind, ProcessSpec, Sample,
                       ar1_binary_chain, ar1_step, gaussian_quantile_transform,
-                      generate, lsv_step, lsv_trajectory, piecewise_quantile,
-                      piecewise_quantile_transform)
+                      generate, lsv_step, lsv_trajectory, piecewise_quantile_transform,
+                      two_level)
 from betadens import processes
-from betadens.processes import _BLOCK, _rng, register_values
+from betadens.processes import _BLOCK, PREFIX_BITS, _rng, register_values
+
+
+def two_level_quantile_oracle(u):
+    # the two-level quantile written out branch by branch: the density is
+    # 1/2 on [0, 1/4] and [3/4, 1], 3/2 between, so its CDF is 1/8 at 1/4
+    # and 7/8 at 3/4
+    u = np.asarray(u, dtype=float)
+    return np.where(u <= 0.125, 2.0 * u,
+                    np.where(u <= 0.875, 0.25 + (2.0 / 3.0) * (u - 0.125),
+                             0.75 + 2.0 * (u - 0.875)))
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -67,7 +77,7 @@ class TestAr1Chain:
         binary = register_values(ProcessKind.AR1_BINARY, hi, lo)
         piecewise = register_values(ProcessKind.AR1_PIECEWISE, hi, lo)
         assert float(binary[0]).hex() == value.hex()
-        assert float(piecewise[0]).hex() == float(piecewise_quantile(value)).hex()
+        assert float(piecewise[0]).hex() == float(two_level_quantile_oracle(value)).hex()
         # and so does the uint64 conversion that the oracle uses
         as_uint64 = np.array([reg], dtype=np.uint64).astype(np.float64)[0]
         assert float(as_uint64 * 2**-64).hex() == value.hex()
@@ -187,9 +197,28 @@ class TestTransforms:
         assert calls == []
 
     def test_piecewise_branch_values(self):
-        assert piecewise_quantile(0.5) == pytest.approx(0.5, abs=1e-15)
-        assert piecewise_quantile(0.125) == pytest.approx(0.25, abs=1e-15)
-        assert piecewise_quantile(0.95) == pytest.approx(0.9, abs=1e-15)
+        quantile = two_level().quantile
+        assert quantile(0.5) == pytest.approx(0.5, abs=1e-15)
+        assert quantile(0.125) == pytest.approx(0.25, abs=1e-15)
+        assert quantile(0.95) == pytest.approx(0.9, abs=1e-15)
+
+    def test_step_quantile_has_the_bytes_of_the_closed_form(self):
+        edges = [0.0, 0.125, 0.875, 1.0, math.nan]
+        for edge in (0.125, 0.875):
+            edges += [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+        # the lowest and highest register of every prefix, as _prefix_bins
+        # builds them
+        hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
+        lo = np.zeros_like(hi)
+        prefix_ends = [register_values(ProcessKind.AR1_BINARY, hi, lo),
+                       register_values(ProcessKind.AR1_BINARY,
+                                       hi | (2**(32 - PREFIX_BITS) - 1), ~lo)]
+        for u in [np.array(edges),
+                  np.random.Generator(np.random.Philox(key=3)).random(10**6),
+                  ar1_binary_chain(200_000, seed=105).values] + prefix_ends:
+            got = two_level().quantile(u)
+            assert np.array_equal(got.view(np.uint64),
+                                  two_level_quantile_oracle(u).view(np.uint64))
 
     def test_piecewise_cdf_roundtrip(self):
         # forward CDF of the two-level density, written out independently
@@ -202,7 +231,7 @@ class TestTransforms:
 
         rng = np.random.default_rng(4)
         for u in np.concatenate([rng.random(200), [0.01, 0.12, 0.13, 0.87, 0.88, 0.99]]):
-            assert cdf(float(piecewise_quantile(u))) == pytest.approx(u, abs=1e-12)
+            assert cdf(float(two_level().quantile(u))) == pytest.approx(u, abs=1e-12)
 
     def test_piecewise_blocks_equal_one_call(self):
         specials = [0.0, 5e-324, 1.0]
@@ -216,7 +245,7 @@ class TestTransforms:
         for values in samples + [np.array(specials), across]:
             spec = ProcessSpec(ProcessKind.AR1_BINARY, n=len(values), seed=0)
             got = piecewise_quantile_transform(Sample(values=values, spec=spec)).values
-            want = piecewise_quantile(values)
+            want = two_level_quantile_oracle(values)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), len(values)
 
     def test_piecewise_rejects_outside_unit_interval(self):

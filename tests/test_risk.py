@@ -111,10 +111,14 @@ class TestLpDistance:
         assert got.hex() == _merge_oracle(estimate, reference, p, lo, hi).hex()
 
     def test_pdf_conventions_at_the_jumps(self):
-        # uniform01 is a step density, pieces (a, b]; two_level keeps its
-        # closed ends and open middle piece (it samples the shipped figure)
-        assert uniform01().pdf([0.0, 1.0]).tolist() == [0.0, 1.0]
+        # one rule for every step density: closed pieces, the smaller value
+        # at a break, 0 off [breaks[0], breaks[-1]]
         assert two_level().pdf([0.0, 0.25, 0.75, 1.0]).tolist() == [0.5, 0.5, 0.5, 0.5]
+        assert uniform01().pdf([0.0, 1.0]).tolist() == [1.0, 1.0]
+        up_down = step_density([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+        x = [np.nextafter(0.0, -1.0), 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0,
+             np.nextafter(3.0, 4.0)]
+        assert up_down.pdf(x).tolist() == [0.0, 1.0, 1.0, 1.0, 3.0, 2.0, 2.0, 2.0, 0.0]
 
     def test_zero_on_identical_step_functions(self):
         est = _hist_from_heights([0.5, 1.5, 1.5, 0.5])   # m=4 matches two-level
