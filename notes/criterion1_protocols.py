@@ -24,7 +24,7 @@ import numpy as np
 import betadens as bd
 from betadens.config import load_config
 from betadens.csvio import read_csv
-from betadens.runner import _row_seed, run_experiment
+from betadens.runner import run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,8 +83,7 @@ def trial_values(n, m, seed, burn_in):
     rb, rv = ref.step_representation()
     u = bd.ar1_binary_chain(n, burn_in, seed).values
     y = ref.quantile(u)
-    hist = bd.histogram_estimate(bd.Sample(values=y, spec=bd.ProcessSpec(
-        bd.ProcessKind.AR1_PIECEWISE, n=n, seed=seed, burn_in=burn_in)), m)
+    hist = bd.histogram_estimate(y, m)
     heights = hist.bin_values()
     edges = np.arange(m + 1) / m
     out = {"exact breaks (package)": bd.lp_distance(hist, ref, 1.0)}
@@ -150,7 +149,7 @@ def main(argv=None) -> int:
 
     per_row = {}
     for n, m, _, _ in rows:
-        seed = _row_seed(config.master_seed, n)
+        seed = bd.row_seed(config.master_seed, n)
         values = [trial_values(n, m, seed ^ t, config.burn_in) for t in range(1, TRIALS + 1)]
         per_row[n] = {k: np.array([v[k] for v in values]) for k in values[0]}
 

@@ -6,8 +6,7 @@ from .depcoeff import (b0_exact, b0_staircase_scan, beta1_estimate,
 from .errors import (BetadensError, CapacityError, ConfigError, DegenerateSample,
                      DomainError, EmptyEstimate, TrialError, UnsupportedDegree)
 from .estimators import (DensityEstimate, KernelDensity, PiecewisePolyDensity,
-                         estimate_mass, histogram_estimate, kernel_estimate,
-                         projection_estimate)
+                         estimate_mass, histogram_estimate, projection_estimate)
 from .kernels import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR, KernelSpec,
                       kernel_by_name, silverman_bandwidth)
 from .normal import norm_cdf, norm_ppf
@@ -17,7 +16,7 @@ from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, ReferenceDens
                         piecewise_quantile_transform, step_density, two_level, uniform01)
 from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec, RiskReport,
                    binning_bias, build_estimate, envelope_check, loglog_slope,
-                   lp_distance, monte_carlo_risk, risk_rows)
+                   lp_distance, monte_carlo_risk, risk_rows, row_seed)
 from .schedules import (RateRegime, equivalent_density, histogram_bins_bv,
                         histogram_bins_lsv, kernel_bandwidth, lsv_rate_exponent)
 

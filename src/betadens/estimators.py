@@ -1,8 +1,9 @@
 """Density estimators: kernel smoothing and piecewise-polynomial projection.
 
-Both estimators are immutable value objects with vectorized `evaluate`
-methods.  A projection estimate is its coefficient array alone: the degree
-and the bin count are its shape.  Histograms are the degree-0 special case.
+Each takes the observations alone, as any 1-D array-like of floats, and
+gives an immutable value object with a vectorized `evaluate` method.  A
+projection estimate is its coefficient array alone: the degree and the bin
+count are its shape.  Histograms are the degree-0 special case.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
-from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, Sample, chain_bin_counts,
+from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, chain_bin_counts,
                         lsv_blocks, register_values)
 from .quadrature import panel_nodes
 
@@ -28,13 +29,15 @@ _GATHER_ELEMENTS = 32768
 @dataclass(frozen=True, eq=False)
 class KernelDensity:
     """f_n(x) = (1/(n h)) sum_k K((x - Y_k) / h) over a sorted copy of the
-    sample, whose values must be finite."""
+    finite observations Y_k; the one constructor, it checks that 0 < h < inf."""
 
     sorted_values: np.ndarray
     kernel: KernelSpec
     bandwidth: float
 
     def __post_init__(self):
+        if not 0.0 < self.bandwidth < np.inf:
+            raise DomainError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         v = np.sort(np.asarray(self.sorted_values, dtype=float))
         if not np.all(np.isfinite(v)):
             raise DomainError("kernel estimates need finite sample values")
@@ -164,12 +167,6 @@ class PiecewisePolyDensity:
 DensityEstimate = KernelDensity | PiecewisePolyDensity
 
 
-def kernel_estimate(sample: Sample, kernel: KernelSpec, h: float) -> KernelDensity:
-    if not 0.0 < h < np.inf:
-        raise DomainError(f"bandwidth must be positive and finite, got {h}")
-    return KernelDensity(sorted_values=sample.values, kernel=kernel, bandwidth=h)
-
-
 def _check_bins(m: int) -> None:
     if m < 1:
         raise DomainError(f"bin count must be >= 1, got {m}")
@@ -190,16 +187,16 @@ def _projection(coeffs: np.ndarray, counts: np.ndarray, n: int) -> PiecewisePoly
     return PiecewisePolyDensity(coeffs)
 
 
-def projection_estimate(sample: Sample, m: int, degree: int) -> PiecewisePolyDensity:
+def projection_estimate(values, m: int, degree: int) -> PiecewisePolyDensity:
     """Empirical projection coefficients c_{i,j} = (1/n) sum_k phi_{i,j}(Y_k),
     for the basis polynomials of degree <= `degree`.
 
-    Sample values outside (0, 1] contribute zero, matching the zero extension
-    of the base polynomials.
+    Values outside (0, 1] contribute zero, matching the zero extension of the
+    base polynomials.
     """
     _check_bins(m)
     basis = build_poly_basis(degree)
-    values = sample.values
+    values = np.asarray(values, dtype=float)
     coeffs = np.empty((degree + 1, m))
     j = _bin_index(values, m)
     if degree:
@@ -211,9 +208,9 @@ def projection_estimate(sample: Sample, m: int, degree: int) -> PiecewisePolyDen
     return _projection(coeffs, np.bincount(j, minlength=m + 2)[1:-1], len(values))
 
 
-def histogram_estimate(sample: Sample, m: int) -> PiecewisePolyDensity:
+def histogram_estimate(values, m: int) -> PiecewisePolyDensity:
     """Regular histogram on ((j-1)/m, j/m], the degree-0 projection."""
-    return projection_estimate(sample, m, 0)
+    return projection_estimate(values, m, 0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -239,7 +236,7 @@ def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
 
 
 def chain_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
-    """histogram_estimate(generate(spec), m), bit for bit, counted from the
+    """histogram_estimate(generate(spec).values, m), bit for bit, counted from the
     chain's register prefixes (`chain_bin_counts`); for the binary chain and
     its piecewise quantile transform."""
     _check_bins(m)
@@ -249,7 +246,7 @@ def chain_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
 
 
 def lsv_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
-    """histogram_estimate(generate(spec), m), bit for bit, counted block by
+    """histogram_estimate(generate(spec).values, m), bit for bit, counted block by
     block (`lsv_blocks`), so the n-value trajectory is never held at once;
     counts are integers, so the block order cannot change a bit."""
     _check_bins(m)

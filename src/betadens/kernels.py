@@ -1,4 +1,4 @@
-"""Bounded-variation kernels and the rule-of-thumb bandwidth.
+"""Bounded-variation kernels and the rule-of-thumb bandwidth of the observations.
 
 Each kernel is written as its polynomial on the support, a function that
 overwrites a float64 array u with it, plus one zeroing rule shared by all:
@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSample, DomainError
-from .processes import Sample
 
 
 def _epanechnikov(u):
@@ -92,14 +91,14 @@ def kernel_by_name(name: str) -> KernelSpec:
         raise DomainError(f"unknown kernel {name!r}; have {sorted(KERNELS)}") from None
 
 
-def silverman_bandwidth(sample: Sample) -> float:
-    """0.9 * min(sd, IQR/1.34) * n^(-1/5).
+def silverman_bandwidth(values) -> float:
+    """0.9 * min(sd, IQR/1.34) * n^(-1/5) of the n observations `values`.
 
     Stands in for an off-the-shelf bandwidth selector.  Falls back to the
     standard deviation alone when the interquartile range collapses; raises
     DegenerateSample for constant samples.
     """
-    values = sample.values
+    values = np.asarray(values, dtype=float)
     if len(values) < 2:
         raise DegenerateSample("bandwidth rule needs at least two points")
     if values.min() == values.max():

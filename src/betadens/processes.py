@@ -74,13 +74,43 @@ class ProcessSpec:
 
 @dataclass(frozen=True)
 class ReferenceDensity:
-    """A marginal density: a step density (`breaks`, `values`) or N(mu, sigma2)."""
+    """A marginal density: a step density (`breaks`, `values`) or N(mu, sigma2),
+    exactly one of the two, checked when it is made."""
 
-    support: tuple[float, float]
     breaks: tuple[float, ...] | None = None
     values: tuple[float, ...] | None = None
     mu: float | None = None
     sigma2: float | None = None
+
+    def __post_init__(self):
+        given = [f is not None for f in (self.breaks, self.values, self.mu, self.sigma2)]
+        if given not in ([True, True, False, False], [False, False, True, True]):
+            raise DomainError("a reference density needs breaks and values, or mu and "
+                              "sigma2, not both")
+        if self.breaks is None:
+            if not (math.isfinite(self.mu) and 0.0 < self.sigma2 < math.inf):
+                raise DomainError("need a finite mu and sigma2 in (0, inf), "
+                                  f"got {self.mu}, {self.sigma2}")
+            return
+        breaks = tuple(float(b) for b in self.breaks)
+        values = tuple(float(v) for v in self.values)
+        if len(breaks) != len(values) + 1 or not values:
+            raise DomainError("need one or more step values and one more break")
+        if not all(map(math.isfinite, breaks + values)):
+            raise DomainError("breaks and step values must be finite")
+        if any(b >= c for b, c in zip(breaks[:-1], breaks[1:])):
+            raise DomainError("breaks must be strictly increasing")
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """[breaks[0], breaks[-1]], or [mu - 6 sigma, mu + 6 sigma] for the
+        Gaussian, whose mass outside it is below 1e-8, the quadrature budget."""
+        if self.breaks is not None:
+            return self.breaks[0], self.breaks[-1]
+        sigma = math.sqrt(self.sigma2)
+        return self.mu - 6.0 * sigma, self.mu + 6.0 * sigma
 
     def pdf(self, x) -> np.ndarray:
         """The density at the points x.  A step density takes values[i] on
@@ -99,8 +129,9 @@ class ReferenceDensity:
         return np.where((x >= breaks[0]) & (x <= breaks[-1]), at, 0.0)
 
     def quantile(self, u) -> np.ndarray:
-        """The inverse CDF at u: piece by piece for a step density with positive
-        values, the end pieces extended; for the Gaussian mu + sigma norm_ppf(u)."""
+        """The inverse CDF at u: piece by piece for a step density, the end
+        pieces extended; for the Gaussian mu + sigma norm_ppf(u).  A step
+        density with a piece <= 0 has none and raises DomainError."""
         u = np.asarray(u, dtype=float)
         if self.breaks is None:
             mu, sigma = self.mu, math.sqrt(self.sigma2)
@@ -113,6 +144,11 @@ class ReferenceDensity:
     @functools.cached_property
     def _pieces(self):
         breaks, values = self.step_representation()
+        bad = np.flatnonzero(values <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise DomainError(f"a step quantile needs positive values; piece {i} on "
+                              f"[{breaks[i]}, {breaks[i + 1]}] is {values[i]}")
         cdf = np.concatenate([[0.0], np.cumsum(np.diff(breaks) * values)])
         return breaks, 1.0 / values, cdf
 
@@ -134,29 +170,16 @@ def two_level() -> ReferenceDensity:
 
 
 def gaussian(mu: float, sigma2: float) -> ReferenceDensity:
-    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
-        raise DomainError(f"need a finite mu and sigma2 in (0, inf), got {mu}, {sigma2}")
-    sigma = math.sqrt(sigma2)
-    # mass outside a six-sigma window is below 1e-8, the quadrature budget
-    return ReferenceDensity(support=(mu - 6.0 * sigma, mu + 6.0 * sigma),
-                            mu=mu, sigma2=sigma2)
+    return ReferenceDensity(mu=mu, sigma2=sigma2)
 
 
 def step_density(breaks, values) -> ReferenceDensity:
     """Arbitrary piecewise-constant function on [breaks[0], breaks[-1]].
 
     Not required to integrate to one; used as a comparison target, e.g. an
-    empirical mean histogram.
+    empirical mean histogram, whose empty bins are zero pieces.
     """
-    breaks = tuple(float(b) for b in breaks)
-    values = tuple(float(v) for v in values)
-    if len(breaks) != len(values) + 1:
-        raise DomainError("need one more break than values")
-    if not all(map(math.isfinite, breaks + values)):
-        raise DomainError("breaks and step values must be finite")
-    if any(b >= c for b, c in zip(breaks[:-1], breaks[1:])):
-        raise DomainError("breaks must be strictly increasing")
-    return ReferenceDensity(support=(breaks[0], breaks[-1]), breaks=breaks, values=values)
+    return ReferenceDensity(breaks=breaks, values=values)
 
 
 @dataclass(frozen=True, eq=False)

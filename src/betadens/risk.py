@@ -24,14 +24,15 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from .errors import DomainError, EmptyEstimate, TrialError
-from .estimators import (PiecewisePolyDensity, chain_histogram, histogram_estimate,
-                         kernel_estimate, lsv_histogram)
+from .estimators import (KernelDensity, PiecewisePolyDensity, chain_histogram,
+                         histogram_estimate, lsv_histogram)
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import (REGISTER_KINDS, ProcessKind, ProcessSpec, ReferenceDensity,
                         gaussian, generate)  # gaussian: re-exported as risk.gaussian
 from .quadrature import integrate_adaptive
 
 _MAX_QUAD_PANELS = 2048
+_SEED_MIX = 0x9E3779B97F4A7C15  # per-row seed separation for n-sweeps
 
 
 @dataclass(frozen=True)
@@ -142,19 +143,19 @@ def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     """The estimate `config` of a realization of `spec`.  A histogram of the
     binary chain or of its piecewise transform is counted from the chain's
     registers (`chain_histogram`), one of an lsv trajectory block by block
-    (`lsv_histogram`), any other estimate is built from generate(spec); all
-    give the same bits."""
+    (`lsv_histogram`), any other estimate is built from generate(spec).values;
+    all give the same bits."""
     if isinstance(config, HistogramSpec):
         if spec.kind in REGISTER_KINDS:
             return chain_histogram(spec, config.m)
         if spec.kind is ProcessKind.LSV_TRAJECTORY:
             return lsv_histogram(spec, config.m)
-        return histogram_estimate(generate(spec), config.m)
+        return histogram_estimate(generate(spec).values, config.m)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
-        sample = generate(spec)
-        h = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(sample)
-        return kernel_estimate(sample, kernel, h)
+        values = generate(spec).values
+        h = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(values)
+        return KernelDensity(values, kernel, h)
     raise DomainError(f"unknown estimator config {config!r}")
 
 
@@ -178,6 +179,11 @@ def _exit_with_parent() -> None:
         wait([parent_process().sentinel])
         os._exit(1)
     threading.Thread(target=watch, daemon=True).start()
+
+
+def row_seed(master_seed: int, n: int) -> int:
+    """The seed of a sweep's row of length n; its trial t runs on row_seed XOR t."""
+    return (master_seed ^ (n * _SEED_MIX)) % 2**64
 
 
 def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1.0,

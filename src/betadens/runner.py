@@ -12,15 +12,9 @@ from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
 from .processes import ProcessKind, ProcessSpec, gaussian, two_level
 from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, loglog_slope,
-                   risk_rows)
+                   risk_rows, row_seed)
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
 from .svg import SvgFigure
-
-_SEED_MIX = 0x9E3779B97F4A7C15  # per-row seed separation for n-sweeps
-
-
-def _row_seed(master_seed: int, n: int) -> int:
-    return (master_seed ^ (n * _SEED_MIX)) % 2**64
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path = "out") -> list[Path]:
@@ -97,7 +91,7 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
 
 def _risk_sweep_rows(config: ExperimentConfig):
     rows = [(ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=n,
-                         seed=_row_seed(config.master_seed, n), burn_in=config.burn_in),
+                         seed=row_seed(config.master_seed, n), burn_in=config.burn_in),
              HistogramSpec(m=histogram_bins_bv(n, config.bins_constant)))
             for n in config.n_grid]
     reports = risk_rows(rows, two_level(), trials=config.trials, p=config.p,

@@ -151,9 +151,8 @@ def test_criterion_5_mass_conservation():
     for _ in range(100):
         n = int(rng.integers(1, 400))
         m = int(rng.integers(1, 64))
-        sample = bd.Sample(values=rng.random(n) * (1.0 - 1e-9) + 1e-12,
-                           spec=bd.ProcessSpec(bd.ProcessKind.AR1_BINARY, n=n, seed=0))
-        heights = bd.histogram_estimate(sample, m).bin_values()
+        values = rng.random(n) * (1.0 - 1e-9) + 1e-12
+        heights = bd.histogram_estimate(values, m).bin_values()
         worst_hist = max(worst_hist, abs(float(heights.sum()) / m - 1.0))
 
     gl_u, gl_w = np.polynomial.legendre.leggauss(8)
@@ -162,10 +161,7 @@ def test_criterion_5_mass_conservation():
         n = int(rng.integers(2, 60))
         h = float(rng.uniform(0.05, 0.6))
         values = rng.random(n) * 2.0 - 0.5
-        sample = bd.Sample(values=values,
-                           spec=bd.ProcessSpec(bd.ProcessKind.AR1_GAUSSIAN, n=n,
-                                               seed=0, mu=0.0, sigma2=1.0))
-        est = bd.kernel_estimate(sample, bd.EPANECHNIKOV, h)
+        est = bd.KernelDensity(values, bd.EPANECHNIKOV, h)
         edges = est.breakpoints()
         mass = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
@@ -214,7 +210,7 @@ def test_criterion_7_lsv_envelope():
     lo_all, hi_all = math.inf, -math.inf
     for seed in range(10):
         trajectory = bd.lsv_trajectory(60000, 0.25, seed=1000 + seed)
-        estimate = bd.histogram_estimate(trajectory, 81)
+        estimate = bd.histogram_estimate(trajectory.values, 81)
         lo, hi = bd.envelope_check(estimate, 0.25, skip_bins=1)
         lo_all, hi_all = min(lo_all, lo), max(hi_all, hi)
     ok = 0.1 < lo_all and hi_all < 10.0
@@ -248,9 +244,9 @@ def test_criterion_8_schedule_arithmetic():
 
 def test_criterion_9_variance_scaling():
     master = 777
-    reference_sample = bd.generate(bd.ProcessSpec(
-        bd.ProcessKind.AR1_PIECEWISE, n=10**6, seed=master ^ 0xABCDEF))
-    mean_hist = bd.histogram_estimate(reference_sample, 8)
+    reference_values = bd.generate(bd.ProcessSpec(
+        bd.ProcessKind.AR1_PIECEWISE, n=10**6, seed=master ^ 0xABCDEF)).values
+    mean_hist = bd.histogram_estimate(reference_values, 8)
     reference = bd.step_density(mean_hist.breakpoints(), mean_hist.bin_values())
     process = bd.ProcessSpec(bd.ProcessKind.AR1_PIECEWISE, n=4096, seed=0)
     points = []
@@ -258,8 +254,7 @@ def test_criterion_9_variance_scaling():
         n = 2**k
         report = bd.monte_carlo_risk(
             replace(process, n=n), bd.HistogramSpec(m=8), reference, trials=200, p=2.0,
-            master_seed=(master ^ (n * 0x9E3779B97F4A7C15)) % 2**64,
-            workers=WORKERS)
+            master_seed=bd.row_seed(master, n), workers=WORKERS)
         points.append((n, report.mean_risk))
     slope = bd.loglog_slope(points)
     ok = -1.15 <= slope <= -0.85

@@ -6,22 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelSpec,
-                      PiecewisePolyDensity, ProcessKind, ProcessSpec, Sample,
+from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelDensity,
+                      KernelSpec, PiecewisePolyDensity, ProcessKind, ProcessSpec,
                       UnsupportedDegree, build_poly_basis, estimate_mass, generate,
-                      histogram_estimate, kernel_estimate, projection_estimate,
-                      silverman_bandwidth)
+                      histogram_estimate, projection_estimate, silverman_bandwidth)
 from betadens.estimators import (_GATHER_ELEMENTS, _prefix_bins, chain_histogram,
                                  lsv_histogram)
 from betadens.processes import PREFIX_BITS, REGISTER_KINDS
 from test_processes import two_level_quantile_oracle
-
-
-def _sample(values):
-    # gaussian kind: the one whose values are unconstrained
-    spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0,
-                       mu=0.0, sigma2=1.0)
-    return Sample(values=np.asarray(values, dtype=float), spec=spec)
 
 
 def _panel_integral(estimate, edges, nodes=16):
@@ -63,7 +55,7 @@ class TestVectorizedEvaluate:
            kernel=st.sampled_from(sorted(KERNELS)),
            h=st.floats(0.01, 3.0))
     def test_bit_identical_to_per_point_loop(self, values, queries, kernel, h):
-        est = kernel_estimate(_sample(values), KERNELS[kernel], h)
+        est = KernelDensity(values, KERNELS[kernel], h)
         # the queries, points far outside the support (empty windows), and
         # every sample value and kink, where a window gains or loses a value
         x = np.concatenate([queries, [-50.0, 50.0], est.sorted_values,
@@ -74,7 +66,7 @@ class TestVectorizedEvaluate:
     def test_window_wider_than_one_gather(self, kernel):
         rng = np.random.default_rng(17)
         values = rng.standard_normal(48000)
-        est = kernel_estimate(_sample(values), KERNELS[kernel], 3.0)
+        est = KernelDensity(values, KERNELS[kernel], 3.0)
         x = np.concatenate([np.linspace(-5.0, 5.0, 37), values[:5]])
         r = est.bandwidth * est.kernel.support_radius
         v = est.sorted_values
@@ -89,7 +81,7 @@ class TestVectorizedEvaluate:
         # v +- h, v +- h r and their neighbours, where rounding puts window
         # ends just past the support
         base = np.round(np.random.default_rng(3).uniform(-2.0, 2.0, 40), 1)
-        values = _sample(np.concatenate([base, base[:15], base[:5]]))
+        values = np.concatenate([base, base[:15], base[:5]])
         calls = []
 
         def count(name, f):
@@ -100,7 +92,7 @@ class TestVectorizedEvaluate:
 
         spec = KERNELS[kernel]
         spied = dataclasses.replace(spec, polynomial=count("polynomial", spec.polynomial))
-        est = kernel_estimate(values, spied, h)
+        est = KernelDensity(values, spied, h)
         v, r = est.sorted_values, spec.support_radius
         c = np.concatenate([v + h, v - h, v + h * r, v - h * r])
         x = np.concatenate([c, np.nextafter(c, np.inf), np.nextafter(c, -np.inf)])
@@ -109,19 +101,19 @@ class TestVectorizedEvaluate:
             got = est.evaluate(x)
         # some copies take the zeroing (overwrite) and some skip it
         assert 0 < calls.count("zeroing") < calls.count("polynomial")
-        assert np.array_equal(got, _evaluate_oracle(kernel_estimate(values, spec, h), x))
+        assert np.array_equal(got, _evaluate_oracle(KernelDensity(values, spec, h), x))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_sample_value_is_refused(self, bad):
         with pytest.raises(DomainError, match="finite sample values"):
-            kernel_estimate(_sample([0.0, bad, 1.0]), EPANECHNIKOV, 0.5)
+            KernelDensity([0.0, bad, 1.0], EPANECHNIKOV, 0.5)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_non_finite_points_have_empty_windows(self, kernel):
         # ±inf and NaN query points find no sample value within h * radius:
         # 0.0, with no warning (the suite turns RuntimeWarning into an error)
         values = [-0.4, 0.0, 0.0, 0.3, 1.1]
-        est = kernel_estimate(_sample(values), KERNELS[kernel], 0.5)
+        est = KernelDensity(values, KERNELS[kernel], 0.5)
         x = np.array([math.inf, -math.inf, math.nan, *values, 0.2])
         got = est.evaluate(x)
         assert np.array_equal(got[:3], [0.0, 0.0, 0.0])
@@ -130,18 +122,18 @@ class TestVectorizedEvaluate:
 
 class TestKernelEstimate:
     def test_single_point_at_center(self):
-        est = kernel_estimate(_sample([0.0]), EPANECHNIKOV, 1.0)
+        est = KernelDensity([0.0], EPANECHNIKOV, 1.0)
         assert est.evaluate(0.0)[0] == 0.75
 
     def test_single_point_outside_support(self):
-        est = kernel_estimate(_sample([0.0]), EPANECHNIKOV, 1.0)
+        est = KernelDensity([0.0], EPANECHNIKOV, 1.0)
         assert est.evaluate(2.0)[0] == 0.0
         assert est.evaluate(-1.0001)[0] == 0.0
 
     def test_rejects_nonpositive_bandwidth(self):
         for h in (0.0, -0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
-                kernel_estimate(_sample([0.1, 0.2]), EPANECHNIKOV, h)
+                KernelDensity([0.1, 0.2], EPANECHNIKOV, h)
 
     def test_mass_is_kernel_l1_norm(self):
         rng = np.random.default_rng(42)
@@ -149,7 +141,7 @@ class TestKernelEstimate:
             n = int(rng.integers(2, 60))
             values = rng.random(n) * 3.0 - 1.0
             h = float(rng.uniform(0.05, 0.5))
-            est = kernel_estimate(_sample(values), EPANECHNIKOV, h)
+            est = KernelDensity(values, EPANECHNIKOV, h)
             edges = est.breakpoints()
             assert abs(_panel_integral(est, edges) - 1.0) < 1e-6
 
@@ -157,18 +149,18 @@ class TestKernelEstimate:
         rng = np.random.default_rng(3)
         values = rng.random(25)
         h = 0.17
-        est = kernel_estimate(_sample(values), EPANECHNIKOV, h)
+        est = KernelDensity(values, EPANECHNIKOV, h)
         for x in (0.0, 0.3, 0.77, 1.2):
             direct = np.mean(EPANECHNIKOV.eval((x - values) / h)) / h
             assert est.evaluate(x)[0] == pytest.approx(direct, rel=1e-12)
 
     def test_breakpoints_list_every_kink(self):
         values = np.array([0.1, 0.4, 0.45])
-        est = kernel_estimate(_sample(values), TRIANGULAR, 0.2)
+        est = KernelDensity(values, TRIANGULAR, 0.2)
         # the triangular kernel peaks at each sample value
         assert np.array_equal(est.breakpoints(), np.unique(
             np.concatenate([values - 0.2, values, values + 0.2])))
-        est = kernel_estimate(_sample(values), EPANECHNIKOV, 0.2)
+        est = KernelDensity(values, EPANECHNIKOV, 0.2)
         assert np.array_equal(est.breakpoints(),
                               np.unique(np.concatenate([values - 0.2, values + 0.2])))
 
@@ -176,37 +168,37 @@ class TestKernelEstimate:
     def test_mass_exact_at_n5000(self, kernel):
         # 10,000 to 15,000 kinks: every panel still ends on a kink
         rng = np.random.default_rng(2024)
-        sample = _sample(rng.normal(10.0, math.sqrt(2.0), 5000))
-        est = kernel_estimate(sample, KERNELS[kernel], silverman_bandwidth(sample))
+        values = rng.normal(10.0, math.sqrt(2.0), 5000)
+        est = KernelDensity(values, KERNELS[kernel], silverman_bandwidth(values))
         assert abs(estimate_mass(est) - 1.0) < 1e-12
 
     def test_estimate_mass_helper_agrees(self):
         rng = np.random.default_rng(8)
-        est = kernel_estimate(_sample(rng.random(40)), EPANECHNIKOV, 0.2)
+        est = KernelDensity(rng.random(40), EPANECHNIKOV, 0.2)
         assert estimate_mass(est) == pytest.approx(
             _panel_integral(est, est.breakpoints()), abs=1e-10)
 
 
 class TestHistogram:
     def test_counting_example(self):
-        est = histogram_estimate(_sample([0.1, 0.3, 0.9]), 2)
+        est = histogram_estimate([0.1, 0.3, 0.9], 2)
         assert est.evaluate(0.25)[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert est.evaluate(0.75)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_zero_is_in_no_bin(self):
-        est = histogram_estimate(_sample([0.1, 0.3, 0.9]), 2)
+        est = histogram_estimate([0.1, 0.3, 0.9], 2)
         assert est.evaluate(0.0)[0] == 0.0
         assert est.evaluate(-0.2)[0] == 0.0
         assert est.evaluate(1.0001)[0] == 0.0
 
     def test_half_open_bin_membership(self):
-        est = histogram_estimate(_sample([0.5, 0.5, 1.0]), 2)
+        est = histogram_estimate([0.5, 0.5, 1.0], 2)
         # values at 0.5 land in bin 1 = (0, 1/2]; 1.0 lands in bin 2
         assert est.evaluate(0.5)[0] == pytest.approx(2 * 2 / 3, abs=1e-12)
         assert est.evaluate(1.0)[0] == pytest.approx(1 * 2 / 3, abs=1e-12)
 
     def test_empty_bin_is_zero(self):
-        est = histogram_estimate(_sample([0.9, 0.95]), 4)
+        est = histogram_estimate([0.9, 0.95], 4)
         assert est.evaluate(0.3)[0] == 0.0
 
     def test_mass_one_for_unit_interval_samples(self):
@@ -214,11 +206,11 @@ class TestHistogram:
         for _ in range(20):
             n = int(rng.integers(1, 500))
             m = int(rng.integers(1, 64))
-            est = histogram_estimate(_sample(rng.random(n) * 0.999 + 1e-4), m)
+            est = histogram_estimate(rng.random(n) * 0.999 + 1e-4, m)
             assert abs(estimate_mass(est) - 1.0) < 1e-12
 
     def test_outside_values_contribute_zero_mass(self):
-        est = histogram_estimate(_sample([0.5, 2.0, -1.0, 0.25]), 4)
+        est = histogram_estimate([0.5, 2.0, -1.0, 0.25], 4)
         assert estimate_mass(est) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -323,14 +315,14 @@ class TestProjection:
                                     np.nextafter(edges, np.inf), [np.nan, np.inf, 0.3]])
             for values in samples + (edges,):
                 values = np.asarray(values, dtype=float)
-                est = projection_estimate(_sample(values), m, degree)
+                est = projection_estimate(values, m, degree)
                 assert np.array_equal(est.coeffs, _projection_oracle(values, m, basis))
 
     def test_degree_zero_equals_counting_histogram(self):
         rng = np.random.default_rng(11)
         values = rng.random(200)
         m = 13
-        est = projection_estimate(_sample(values), m, 0)
+        est = projection_estimate(values, m, 0)
         heights = est.bin_values()
         for j in range(1, m + 1):
             count = int(np.sum((values > (j - 1) / m) & (values <= j / m)))
@@ -341,7 +333,7 @@ class TestProjection:
         values = rng.random(50)
         m, r = 5, 2
         basis = build_poly_basis(r)
-        est = projection_estimate(_sample(values), m, r)
+        est = projection_estimate(values, m, r)
         # independent accumulation of (1/n) sum sqrt(m) Q_i(m y - (j-1))
         for j in (1, 3, 5):
             inside = (values > (j - 1) / m) & (values <= j / m)
@@ -363,9 +355,9 @@ class TestProjection:
         rng = np.random.default_rng(21)
         a, b = rng.random(120), rng.random(80)
         m, r = 7, 2
-        ea = projection_estimate(_sample(a), m, r)
-        eb = projection_estimate(_sample(b), m, r)
-        eab = projection_estimate(_sample(np.concatenate([a, b])), m, r)
+        ea = projection_estimate(a, m, r)
+        eb = projection_estimate(b, m, r)
+        eab = projection_estimate(np.concatenate([a, b]), m, r)
         x = rng.random(50)
         mix = (120 * ea.evaluate(x) + 80 * eb.evaluate(x)) / 200
         assert np.allclose(eab.evaluate(x), mix, atol=1e-12)
@@ -374,16 +366,16 @@ class TestProjection:
         rng = np.random.default_rng(22)
         a, b = rng.random(30), rng.random(50)
         h = 0.21
-        ea = kernel_estimate(_sample(a), EPANECHNIKOV, h)
-        eb = kernel_estimate(_sample(b), EPANECHNIKOV, h)
-        eab = kernel_estimate(_sample(np.concatenate([a, b])), EPANECHNIKOV, h)
+        ea = KernelDensity(a, EPANECHNIKOV, h)
+        eb = KernelDensity(b, EPANECHNIKOV, h)
+        eab = KernelDensity(np.concatenate([a, b]), EPANECHNIKOV, h)
         x = np.linspace(-0.3, 1.3, 41)
         mix = (30 * ea.evaluate(x) + 50 * eb.evaluate(x)) / 80
         assert np.allclose(eab.evaluate(x), mix, atol=1e-12)
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(DomainError):
-            projection_estimate(_sample([0.5]), 0, 0)
+            projection_estimate([0.5], 0, 0)
 
     def test_coefficient_shape_validated(self):
         # the shape is the whole description: 2-D, at least one bin, and a
@@ -395,7 +387,7 @@ class TestProjection:
             with pytest.raises(UnsupportedDegree):
                 PiecewisePolyDensity(np.zeros((rows, 3)))
         with pytest.raises(UnsupportedDegree):
-            projection_estimate(_sample([0.5]), 4, 11)
+            projection_estimate([0.5], 4, 11)
         with pytest.raises(DomainError):
             PiecewisePolyDensity(np.array([[np.inf, 0.0]]))
         est = PiecewisePolyDensity(np.zeros((11, 3)))
@@ -408,6 +400,38 @@ class TestProjection:
         c[0, 1] = 5.0
         assert np.array_equal(est.coeffs, np.zeros((1, 3)))
         assert np.array_equal(est.evaluate(np.array([0.5])), [0.0])
+
+
+def _read_only(values):
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
+_FLOATS = np.random.default_rng(29).random(300) * 1.4 - 0.2
+_INTS = np.random.default_rng(29).integers(-2, 6, 300)
+
+# each form the observations may take, with the float64 array it stands for
+_FORMS = {
+    "list": (_FLOATS.tolist(), _FLOATS),
+    "int array": (_INTS, _INTS.astype(float)),
+    "read-only array": (_read_only(_FLOATS), _FLOATS),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_every_form_of_the_observations_gives_the_float64_bits(form):
+    given, floats = _FORMS[form]
+    assert np.array_equal(histogram_estimate(given, 9).coeffs,
+                          histogram_estimate(floats, 9).coeffs)
+    for degree in (1, 3):
+        assert np.array_equal(projection_estimate(given, 13, degree).coeffs,
+                              projection_estimate(floats, 13, degree).coeffs)
+    assert silverman_bandwidth(given) == silverman_bandwidth(floats)
+    x = np.linspace(-3.0, 7.0, 201)
+    for kernel in KERNELS.values():
+        assert np.array_equal(KernelDensity(given, kernel, 0.4).evaluate(x),
+                              KernelDensity(floats, kernel, 0.4).evaluate(x))
 
 
 def test_phi_system_gram_identity():

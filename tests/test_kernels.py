@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from betadens import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR,
-                      DegenerateSample, DomainError, ProcessKind, ProcessSpec,
-                      Sample, kernel_by_name, silverman_bandwidth)
+                      DegenerateSample, DomainError, kernel_by_name, silverman_bandwidth)
 
 
 def _grid_tv(kernel, points=2**17):
@@ -112,17 +111,11 @@ def test_registry_lookup():
         kernel_by_name("gauss")
 
 
-def _sample(values):
-    spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0,
-                       mu=0.0, sigma2=1.0)
-    return Sample(values=np.asarray(values, dtype=float), spec=spec)
-
-
 class TestSilverman:
     def test_formula_oracle_on_seeded_normal(self):
         rng = np.random.default_rng(123)
         x = rng.standard_normal(1000)
-        h = silverman_bandwidth(_sample(x))
+        h = silverman_bandwidth(x)
         sd = np.std(x, ddof=1)
         q75, q25 = np.percentile(x, [75, 25])
         oracle = 0.9 * min(sd, (q75 - q25) / 1.34) * 1000 ** (-0.2)
@@ -131,18 +124,18 @@ class TestSilverman:
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(7)
         x = rng.random(400)
-        h = silverman_bandwidth(_sample(x))
+        h = silverman_bandwidth(x)
         for c in (2.0, 0.125, 17.0):
-            assert silverman_bandwidth(_sample(c * x)) == pytest.approx(c * h, rel=1e-12)
+            assert silverman_bandwidth(c * x) == pytest.approx(c * h, rel=1e-12)
 
     def test_constant_sample_rejected(self):
         with pytest.raises(DegenerateSample):
-            silverman_bandwidth(_sample(np.full(50, 0.3)))
+            silverman_bandwidth(np.full(50, 0.3))
         with pytest.raises(DegenerateSample):
-            silverman_bandwidth(_sample([0.3]))
+            silverman_bandwidth([0.3])
 
     def test_zero_iqr_falls_back_to_sd(self):
         # heavy ties collapse the IQR but not the spread
         values = np.concatenate([np.full(97, 0.5), [0.0, 1.0, 0.25]])
-        h = silverman_bandwidth(_sample(values))
+        h = silverman_bandwidth(values)
         assert h > 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from betadens import KERNELS, ProcessKind, ProcessSpec, gaussian, generate, kernel_estimate
+from betadens import KERNELS, KernelDensity, ProcessKind, ProcessSpec, gaussian, generate
 from betadens import lp_distance, silverman_bandwidth
 from betadens import quadrature
 from betadens.quadrature import _BATCH_PANELS, _NODES, integrate_adaptive, panel_nodes
@@ -50,9 +50,9 @@ class _Counted:
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_minus_gaussian_matches_oracle(kernel, p):
-    sample = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
-                                  mu=10.0, sigma2=2.0))
-    est = kernel_estimate(sample, KERNELS[kernel], silverman_bandwidth(sample))
+    y = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
+                             mu=10.0, sigma2=2.0)).values
+    est = KernelDensity(y, KERNELS[kernel], silverman_bandwidth(y))
     ref = gaussian(10.0, 2.0)
     lo, hi = ref.support
     eb = est.breakpoints()
@@ -80,9 +80,9 @@ def test_stacked_matmul_is_the_per_panel_dot():
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_batch_size_does_not_change_a_bit(kernel, monkeypatch):
-    sample = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
-                                  mu=10.0, sigma2=2.0))
-    est = kernel_estimate(sample, KERNELS[kernel], silverman_bandwidth(sample))
+    y = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
+                             mu=10.0, sigma2=2.0)).values
+    est = KernelDensity(y, KERNELS[kernel], silverman_bandwidth(y))
     ref = gaussian(10.0, 2.0)
     edges = np.unique(np.concatenate([ref.support, est.breakpoints()]))
     edges = edges[(edges >= ref.support[0]) & (edges <= ref.support[1])]

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from betadens import (BetadensError, DomainError, EmptyEstimate, HistogramSpec,
-                      KernelEstimatorSpec, PiecewisePolyDensity, ProcessKind,
-                      ProcessSpec, TrialError, binning_bias,
-                      envelope_check, gaussian, histogram_bins_bv, histogram_bins_lsv,
-                      histogram_estimate, loglog_slope, lp_distance,
-                      monte_carlo_risk, risk_rows, step_density, two_level, uniform01)
-from betadens import Sample, build_estimate, generate, lsv_trajectory
+from betadens import (EPANECHNIKOV, BetadensError, DomainError, EmptyEstimate,
+                      HistogramSpec, KernelDensity, KernelEstimatorSpec,
+                      PiecewisePolyDensity, ProcessKind, ProcessSpec, ReferenceDensity,
+                      TrialError, binning_bias, envelope_check, gaussian,
+                      histogram_bins_bv, histogram_bins_lsv, histogram_estimate,
+                      loglog_slope, lp_distance, monte_carlo_risk, risk_rows,
+                      step_density, two_level, uniform01)
+from betadens import build_estimate, generate, lsv_trajectory
 from betadens.config import load_config
 from betadens import processes
 from betadens.processes import _BLOCK, REGISTER_KINDS
@@ -161,10 +162,7 @@ class TestLpDistance:
         assert d_fh <= d_fg + d_gh + ulps * math.ulp(d_fg + d_gh)
 
     def test_quadrature_path_for_kernel_estimates(self):
-        from betadens import EPANECHNIKOV, kernel_estimate
-        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=4, seed=0, mu=0.0, sigma2=1.0)
-        sample = Sample(values=np.array([-0.5, 0.0, 0.3, 0.8]), spec=spec)
-        est = kernel_estimate(sample, EPANECHNIKOV, 0.4)
+        est = KernelDensity(np.array([-0.5, 0.0, 0.3, 0.8]), EPANECHNIKOV, 0.4)
         ref = gaussian(0.0, 1.0)
         d = lp_distance(est, ref, 1.0)
         oracle = _quad_oracle(est, ref, 1.0, *ref.support, total_nodes=2 * 10**5)
@@ -175,11 +173,8 @@ class TestLpDistance:
         # so the panels are re-spaced evenly and no longer end on every kink;
         # the adaptive refinement still meets the oracle, which splits at all
         # of them, within 1e-6 (they differ by about 1.4e-8 here)
-        from betadens import EPANECHNIKOV, kernel_estimate
         values = np.random.default_rng(17).normal(0.0, 1.0, 1100)
-        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0, mu=0.0,
-                           sigma2=1.0)
-        est = kernel_estimate(Sample(values=values, spec=spec), EPANECHNIKOV, 0.3)
+        est = KernelDensity(values, EPANECHNIKOV, 0.3)
         assert len(est.breakpoints()) > _MAX_QUAD_PANELS + 1
         ref = gaussian(0.0, 1.0)
         oracle = _quad_oracle(est, ref, 1.0, *ref.support)
@@ -211,6 +206,26 @@ class TestLpDistance:
         for ref in (uniform01(), two_level()):
             breaks, values = ref.step_representation()
             assert float(np.dot(np.diff(breaks), values)) == 1.0
+
+    def test_step_quantile_refuses_a_piece_without_mass(self):
+        # the pdf keeps such pieces: a mean histogram can have empty bins
+        for values in ((2.0, 0.0), (2.0, -1.0)):
+            ref = step_density((0.0, 0.5, 1.0), values)
+            assert np.array_equal(ref.pdf([0.25, 0.75]), values)
+            with pytest.raises(DomainError, match=r"piece 1 on \[0.5, 1.0\]"):
+                ref.quantile([0.3, 1.0])
+
+    def test_reference_needs_exactly_one_form(self):
+        for fields in ({}, dict(breaks=(0.0, 1.0)), dict(mu=0.0),
+                       dict(breaks=(0.0, 1.0), values=(1.0,), mu=0.5, sigma2=1.0)):
+            with pytest.raises(DomainError, match="not both"):
+                ReferenceDensity(**fields)
+
+    def test_support_is_derived_from_the_form(self):
+        assert step_density((0.2, 0.5, 0.9), (1.0, 2.0)).support == (0.2, 0.9)
+        assert gaussian(10.0, 4.0).support == (-2.0, 22.0)
+        with pytest.raises(TypeError):
+            ReferenceDensity(support=(0.0, 2.0), breaks=(0.0, 1.0), values=(1.0,))
 
 
 def _bin_averages(reference, m):
@@ -470,7 +485,7 @@ class TestBuildEstimate:
         m = histogram_bins_bv(n) if m is None else m
         spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in)
         got = build_estimate(spec, HistogramSpec(m=m))
-        want = histogram_estimate(generate(spec), m)
+        want = histogram_estimate(generate(spec).values, m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -489,7 +504,7 @@ class TestBuildEstimate:
         spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=n, seed=seed, burn_in=burn_in,
                            gamma=gamma)
         got = build_estimate(spec, HistogramSpec(m=m))
-        want = histogram_estimate(lsv_trajectory(n, gamma, burn_in, seed), m)
+        want = histogram_estimate(lsv_trajectory(n, gamma, burn_in, seed).values, m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_lsv_start_state_nan_is_refused(self, monkeypatch):
@@ -522,8 +537,7 @@ class TestEnvelope:
         gamma, n = 0.25, 10**6
         rng = np.random.default_rng(2718)
         values = rng.random(n) ** (1.0 / (1.0 - gamma))
-        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=n, seed=0)
-        est = histogram_estimate(Sample(values=values, spec=spec), 251)
+        est = histogram_estimate(values, 251)
         lo, hi = envelope_check(est, gamma, skip_bins=1)
         assert 0.8 < lo and hi < 1.25
 
