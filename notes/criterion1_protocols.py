@@ -1,6 +1,9 @@
 """Criterion 1 decomposed: binning bias, a lower bound and candidate protocols.
 
-Prints the tables of notes/decisions.md:
+Prints the tables of notes/decisions.md.  Every exact distance is the
+package's `lp_distance` of a step density (`step_density`) to a step
+reference, and the other density's sample is its own `quantile` of the
+chain.  Run as
 
     PYTHONPATH=src python notes/criterion1_protocols.py [--table risk_table.csv]
 
@@ -32,19 +35,6 @@ TRIALS = 60
 GRIDS = (100, 256, 512, 1000, 1024)
 
 
-def _at(breaks, values, x):
-    # step function on half-open pieces (breaks[i], breaks[i+1]], zero outside
-    i = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, len(values) - 1)
-    return np.where((x > breaks[0]) & (x <= breaks[-1]), values[i], 0.0)
-
-
-def step_l1(eb, ev, rb, rv) -> float:
-    """Exact L1 distance of two step functions, by merging their breaks."""
-    cuts = np.union1d(eb, rb)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    return float(np.abs(_at(eb, ev, mids) - _at(rb, rv, mids)) @ np.diff(cuts))
-
-
 def regular_heights(y, m, left_closed=False):
     j = np.floor(y * m) if left_closed else np.ceil(y * m) - 1
     j = np.clip(j.astype(int), 0, m - 1)
@@ -70,13 +60,6 @@ def lower_bound(hist_l1, heights, m, rb, rv) -> float:
     return total
 
 
-def quantile_levels(u, low, high):
-    # quantile of the density low, high, low on (0, 1/4], (1/4, 3/4], (3/4, 1]
-    c1, c2 = 0.25 * low, 0.25 * low + 0.5 * high
-    return np.where(u <= c1, u / low,
-                    np.where(u <= c2, 0.25 + (u - c1) / high, 0.75 + (u - c2) / low))
-
-
 def trial_values(n, m, seed, burn_in):
     """Risk of one trial under every protocol, keyed by protocol name."""
     ref = bd.two_level()
@@ -96,19 +79,22 @@ def trial_values(n, m, seed, burn_in):
         w = np.full(g + 1, 1.0 / g)
         w[[0, -1]] *= 0.5
         out[f"trapezoid grid {g}"] = float(np.abs(hist.evaluate(x) - ref.pdf(x)) @ w)
+
+    def l1(breaks, heights, reference=ref):
+        return bd.lp_distance(bd.step_density(breaks, heights), reference)
+
     lo, hi = float(y.min()), float(y.max())
     counts, range_edges = np.histogram(y, bins=m, range=(lo, hi))
-    out["bins on the sample range"] = step_l1(
-        range_edges, counts / (n * (hi - lo) / m), rb, rv)
-    out["left-closed bins"] = step_l1(edges, regular_heights(y, m, True), rb, rv)
+    out["bins on the sample range"] = l1(range_edges, counts / (n * (hi - lo) / m))
+    out["left-closed bins"] = l1(edges, regular_heights(y, m, True))
     cube = n ** (1.0 / 3.0)
     for name, mm in (("m = round(n^(1/3))", round(cube)), ("m = ceil(n^(1/3))", math.ceil(cube))):
-        out[name] = step_l1(np.arange(mm + 1) / mm, regular_heights(y, mm), rb, rv)
+        out[name] = l1(np.arange(mm + 1) / mm, regular_heights(y, mm))
     iid = ref.quantile(np.random.Generator(np.random.Philox(key=seed)).random(n))
-    out["iid sampling"] = step_l1(edges, regular_heights(iid, m), rb, rv)
-    y78 = quantile_levels(u, 7 / 8, 9 / 8)
-    out["levels 7/8 and 9/8 (another density)"] = step_l1(
-        edges, regular_heights(y78, m), rb, np.array([7 / 8, 9 / 8, 7 / 8]))
+    out["iid sampling"] = l1(edges, regular_heights(iid, m))
+    levels = bd.step_density(rb, (7 / 8, 9 / 8, 7 / 8))
+    out["levels 7/8 and 9/8 (another density)"] = l1(
+        edges, regular_heights(levels.quantile(u), m), levels)
     return out
 
 

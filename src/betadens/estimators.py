@@ -1,9 +1,10 @@
 """Density estimators: kernel smoothing and piecewise-polynomial projection.
 
-Each takes the observations alone, as any 1-D array-like of floats, and
-gives an immutable value object with a vectorized `evaluate` method.  A
-projection estimate is its coefficient array alone: the degree and the bin
-count are its shape.  Histograms are the degree-0 special case.
+Each takes the observations alone, as any nonempty 1-D array-like of floats
+(`observations` refuses any other shape), and gives an immutable value
+object with a vectorized `evaluate` method.  A projection estimate is its
+coefficient array alone: the degree and the bin count are its shape.
+Histograms are the degree-0 special case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
 from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, chain_bin_counts,
-                        lsv_blocks, register_values)
+                        lsv_blocks, observations, register_values)
 from .quadrature import panel_nodes
 
 # sample values one gather of KernelDensity.evaluate holds at most (unless
@@ -38,7 +39,7 @@ class KernelDensity:
     def __post_init__(self):
         if not 0.0 < self.bandwidth < np.inf:
             raise DomainError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        v = np.sort(np.asarray(self.sorted_values, dtype=float))
+        v = np.sort(observations(self.sorted_values))
         if not np.all(np.isfinite(v)):
             raise DomainError("kernel estimates need finite sample values")
         v.flags.writeable = False
@@ -196,7 +197,7 @@ def projection_estimate(values, m: int, degree: int) -> PiecewisePolyDensity:
     """
     _check_bins(m)
     basis = build_poly_basis(degree)
-    values = np.asarray(values, dtype=float)
+    values = observations(values)
     coeffs = np.empty((degree + 1, m))
     j = _bin_index(values, m)
     if degree:

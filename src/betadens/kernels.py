@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSample, DomainError
+from .processes import observations
 
 
 def _epanechnikov(u):
@@ -96,9 +97,10 @@ def silverman_bandwidth(values) -> float:
 
     Stands in for an off-the-shelf bandwidth selector.  Falls back to the
     standard deviation alone when the interquartile range collapses; raises
-    DegenerateSample for constant samples.
+    DegenerateSample for constant samples and DomainError unless `values`
+    is 1-D and nonempty.
     """
-    values = np.asarray(values, dtype=float)
+    values = observations(values)
     if len(values) < 2:
         raise DegenerateSample("bandwidth rule needs at least two points")
     if values.min() == values.max():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,7 @@ class Sample:
     spec: ProcessSpec
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = observations(self.values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if len(values) != self.spec.n:
@@ -201,6 +201,16 @@ class Sample:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def observations(values) -> np.ndarray:
+    """The observations `values` as a float64 array, returned as it is when
+    it is one; DomainError naming the shape unless it is 1-D and nonempty."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise DomainError(f"observations must be a nonempty 1-D array, got shape "
+                          f"{values.shape}")
+    return values
 
 
 def _check_unit(values: np.ndarray, kind: ProcessKind) -> None:
@@ -302,22 +312,23 @@ def chain_bin_counts(spec: ProcessSpec, table: np.ndarray, bins: int,
     return counts[:bins]
 
 
-def gaussian_quantile_transform(sample: Sample, mu: float, sigma2: float) -> Sample:
-    """Map a uniform-marginal sample through the N(mu, sigma2) quantile."""
-    spec = replace(sample.spec, kind=ProcessKind.AR1_GAUSSIAN, mu=mu, sigma2=sigma2)
-    values = sample.values
+def gaussian_quantile_transform(values, mu: float, sigma2: float) -> np.ndarray:
+    """The N(mu, sigma2) quantile of each of the observations `values`,
+    which must lie strictly inside (0, 1)."""
+    density = gaussian(mu, sigma2)
+    values = observations(values)
     if not (0.0 < values.min() and values.max() < 1.0):
         raise DomainError("gaussian transform needs values strictly inside (0, 1)")
-    return Sample(values=gaussian(mu, sigma2).quantile(values), spec=spec)
+    return density.quantile(values)
 
 
-def piecewise_quantile_transform(sample: Sample) -> Sample:
-    """Map a sample with values in [0, 1] through the `two_level` quantile."""
-    values = sample.values
+def piecewise_quantile_transform(values) -> np.ndarray:
+    """The `two_level` quantile of each of the observations `values`, which
+    must lie in [0, 1]."""
+    values = observations(values)
     if not (0.0 <= values.min() and values.max() <= 1.0):
         raise DomainError("piecewise transform needs values in [0, 1]")
-    spec = replace(sample.spec, kind=ProcessKind.AR1_PIECEWISE)
-    return Sample(values=two_level().quantile(values), spec=spec)
+    return two_level().quantile(values)
 
 
 def lsv_step(x: float, gamma: float) -> float:
@@ -384,19 +395,18 @@ def lsv_trajectory(n: int, gamma: float, burn_in: int = DEFAULT_BURN_IN,
 
 
 def generate(spec: ProcessSpec) -> Sample:
-    """Realize any ProcessSpec."""
+    """Realize any ProcessSpec as a `Sample` of that spec."""
     if spec.kind is ProcessKind.AR1_BINARY:
         return ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
     if spec.kind is ProcessKind.AR1_GAUSSIAN:
-        base = ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
+        u = ar1_binary_chain(spec.n, spec.burn_in, spec.seed).values
         # registers 0 and >= 2^64 - 2^10 round to 0.0 and 1.0, where the
         # quantile is infinite; every other chain value is left unchanged
-        inside = np.clip(base.values, 2.0**-64, 1.0 - 2.0**-53)
-        return gaussian_quantile_transform(Sample(values=inside, spec=base.spec),
-                                           spec.mu, spec.sigma2)
+        inside = np.clip(u, 2.0**-64, 1.0 - 2.0**-53)
+        return Sample(gaussian_quantile_transform(inside, spec.mu, spec.sigma2), spec)
     if spec.kind is ProcessKind.AR1_PIECEWISE:
-        base = ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
-        return piecewise_quantile_transform(base)
+        u = ar1_binary_chain(spec.n, spec.burn_in, spec.seed).values
+        return Sample(piecewise_quantile_transform(u), spec)
     if spec.kind is ProcessKind.LSV_TRAJECTORY:
         return lsv_trajectory(spec.n, spec.gamma, spec.burn_in, spec.seed)
     raise DomainError(f"unknown process kind {spec.kind!r}")

@@ -1,13 +1,14 @@
 """Integrated L^p distances and the Monte Carlo risk machinery.
 
-The distance between a histogram and a piecewise-constant reference is
-computed exactly by merging the two breakpoint sets and summing closed-form
-pieces; everything else goes through panel quadrature split at all known
-breakpoints.  Trial t of a row runs on seed row_seed XOR t, where a sweep's
-row_seed is master_seed XOR (n 0x9E3779B97F4A7C15 mod 2^64), and trials are
-reduced in trial order, so reports are identical for any worker count.
-Nearby master seeds share trials (masters 1 and 2 share 298 of 300 trial
-seeds in every row), so the next master seed is no independent replication.
+The distance between two step functions, a histogram or a step density
+against a step reference, is computed exactly by merging the two breakpoint
+sets and summing closed-form pieces; everything else goes through panel
+quadrature split at all known breakpoints.  Trial t of a row runs on seed
+row_seed XOR t, where a sweep's row_seed is master_seed XOR
+(n 0x9E3779B97F4A7C15 mod 2^64), and trials are reduced in trial order, so
+reports are identical for any worker count.  Nearby master seeds share
+trials (masters 1 and 2 share 298 of 300 trial seeds in every row), so the
+next master seed is no independent replication.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .estimators import (KernelDensity, PiecewisePolyDensity, chain_histogram,
                          histogram_estimate, lsv_histogram)
 from .kernels import kernel_by_name, silverman_bandwidth
 from .processes import (REGISTER_KINDS, ProcessKind, ProcessSpec, ReferenceDensity,
-                        gaussian, generate)  # gaussian: re-exported as risk.gaussian
+                        gaussian, generate, step_density)  # gaussian: re-exported
 from .quadrature import integrate_adaptive
 
 _MAX_QUAD_PANELS = 2048
@@ -47,7 +48,8 @@ class RiskReport:
 
 def _step_value(breaks: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     """The step function with pieces (breaks[i], breaks[i+1]] at the points x;
-    0 outside (breaks[0], breaks[-1]]."""
+    0 outside (breaks[0], breaks[-1]].  Only at a break does this differ from
+    `ReferenceDensity.pdf`, and the exact merge evaluates only midpoints."""
     x = np.asarray(x, dtype=float)
     idx = np.clip(np.searchsorted(breaks, x, side="left") - 1, 0, len(values) - 1)
     inside = (x > breaks[0]) & (x <= breaks[-1])
@@ -63,8 +65,11 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
                 domain: tuple[float, float] | None = None) -> float:
     """integral over `domain` of |f_n - f|^p.
 
-    Exact (breakpoint merge) when both sides are step functions; adaptive
-    Gauss-Legendre split at all known breakpoints otherwise.
+    Exact when a histogram or a step `ReferenceDensity` meets a step
+    reference: both sides are read on their half-open pieces at the
+    midpoints of the merged breaks (`_step_value`).  Adaptive Gauss-Legendre
+    split at all known breakpoints for any other estimate; a step density
+    against a smooth reference raises DomainError.
     """
     _check_exponent(p)
     if domain is None:
@@ -74,22 +79,28 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
         raise DomainError(f"domain must be a finite nonempty interval, got {domain}")
 
     step = reference.step_representation()
-    exact = (isinstance(estimate, PiecewisePolyDensity) and estimate.degree == 0
-             and step is not None)
-    eb = estimate.breakpoints()
-    if not exact and len(eb) > _MAX_QUAD_PANELS:
-        eb = np.linspace(eb[0], eb[-1], _MAX_QUAD_PANELS + 1)
+    if isinstance(estimate, ReferenceDensity):
+        if step is None or estimate.breaks is None:
+            raise DomainError(f"a reference density is compared only as a step density "
+                              f"with a step reference, got {estimate} and {reference}")
+        eb, ev = estimate.step_representation()
+    elif (isinstance(estimate, PiecewisePolyDensity) and estimate.degree == 0
+          and step is not None):
+        eb, ev = estimate.breakpoints(), estimate.bin_values()
+    else:
+        eb, ev = estimate.breakpoints(), None
+        if len(eb) > _MAX_QUAD_PANELS:
+            eb = np.linspace(eb[0], eb[-1], _MAX_QUAD_PANELS + 1)
     rb = np.asarray(reference.breaks or reference.support)
     cuts = np.unique(np.concatenate([
         [lo, hi], eb[(eb > lo) & (eb < hi)], rb[(rb > lo) & (rb < hi)],
     ]))
-    if not exact:
+    if ev is None:
         integrand = lambda x: np.abs(estimate.evaluate(x) - reference.pdf(x)) ** p
         return integrate_adaptive(integrand, cuts, tol=1e-8)
 
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    gaps = np.abs(_step_value(eb, estimate.bin_values(), mids)
-                  - _step_value(rb, step[1], mids))
+    gaps = np.abs(_step_value(eb, ev, mids) - _step_value(rb, step[1], mids))
     # Python's float power and a left-to-right sum: numpy's power rounds
     # differently for p != 1, and a numpy sum would reorder the additions
     total = 0.0
@@ -102,9 +113,9 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
     """Exact L^p binning bias of the regular m-bin histogram of a step density.
 
     The bin-averaged histogram takes on ((j-1)/m, j/m] the height
-    m (F(j/m) - F((j-1)/m)), with F the reference CDF; the bias is its
-    integrated |. - f|^p over [0, 1] and the reference support.  It vanishes
-    when every jump of f falls on a bin edge.
+    m (F(j/m) - F((j-1)/m)), with F the reference CDF; the bias is the exact
+    `lp_distance` of that step density to f over [0, 1] and the reference
+    support.  It vanishes when every jump of f falls on a bin edge.
     """
     if m < 1:
         raise DomainError(f"bin count must be >= 1, got {m}")
@@ -114,9 +125,7 @@ def binning_bias(m: int, reference: ReferenceDensity, p: float = 1.0) -> float:
     breaks, values = step
     edges = np.arange(m + 1) / m
     covered = np.clip(edges[:, None], breaks[:-1], breaks[1:]) - breaks[:-1]
-    cdf = covered @ values
-    heights = m * np.diff(cdf)
-    averaged = PiecewisePolyDensity((heights / math.sqrt(m))[None, :])
+    averaged = step_density(edges, m * np.diff(covered @ values))
     lo, hi = reference.support
     return lp_distance(averaged, reference, p, domain=(min(lo, 0.0), max(hi, 1.0)))
 

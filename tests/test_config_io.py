@@ -142,6 +142,11 @@ class TestParse:
         assert parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
                             "sigma2 = 1\nkernel = Triangular\n").kernel == "Triangular"
 
+    def test_bandwidth_that_is_no_number_is_refused(self):
+        with pytest.raises(ConfigError, match="bandwidth must be 'silverman' or a number"):
+            parse_config("experiment = kernel-gaussian-figure\nn = 10\nmu = 0\n"
+                         "sigma2 = 1\nbandwidth = abc\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("experiment = coefficient-report\nk_max = 3\nk_max = 4\n")

@@ -34,6 +34,9 @@ class TestConditionalAtoms:
             conditional_atoms(0.5, 25)
         with pytest.raises(DomainError):
             conditional_atoms(1.5, 3)
+        for k in (0, -1):
+            with pytest.raises(DomainError, match="k must be >= 1"):
+                conditional_atoms(0.5, k)
 
 
 class TestB0:
@@ -119,3 +122,4 @@ class TestPairLowerBounds:
         for grid in (0, -1):
             with pytest.raises(DomainError):
                 beta2_pair_lower_bound(2, 1, grid=grid, x0_nodes=3)
+

@@ -434,6 +434,27 @@ def test_every_form_of_the_observations_gives_the_float64_bits(form):
                               KernelDensity(floats, kernel, 0.4).evaluate(x))
 
 
+@pytest.mark.parametrize("values, shape", [
+    ([], r"\(0,\)"), (np.random.default_rng(3).random((50, 4)), r"\(50, 4\)"),
+    (0.5, r"\(\)"), ([[0.2], [0.4]], r"\(2, 1\)")])
+def test_observations_that_are_not_a_nonempty_1d_array_are_refused(values, shape):
+    named = "observations must be a nonempty 1-D array, got shape " + shape
+    with pytest.raises(DomainError, match=named):
+        histogram_estimate(values, 5)
+    with pytest.raises(DomainError, match=named):
+        projection_estimate(values, 5, 2)
+    with pytest.raises(DomainError, match=named):
+        KernelDensity(values, EPANECHNIKOV, 0.1)
+    with pytest.raises(DomainError, match=named):
+        silverman_bandwidth(values)
+
+
+def test_bin_values_refuses_a_projection_of_positive_degree():
+    estimate = projection_estimate([0.1, 0.5, 0.9], 4, 1)
+    with pytest.raises(DomainError, match="defined for histograms"):
+        estimate.bin_values()
+
+
 def test_phi_system_gram_identity():
     # orthonormality of the scaled bin system, quadrature with 64 nodes per bin
     m, r = 8, 2

@@ -132,20 +132,17 @@ class TestAr1Chain:
 
 class TestTransforms:
     def test_gaussian_median_maps_to_mu(self):
-        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=3, seed=0, burn_in=0)
-        s = Sample(values=np.array([0.5, 0.975, 0.025]), spec=spec)
-        y = gaussian_quantile_transform(s, mu=10.0, sigma2=2.0)
-        assert y.values[0] == pytest.approx(10.0, abs=1e-12)
-        z = gaussian_quantile_transform(s, mu=0.0, sigma2=1.0)
-        assert z.values[1] == pytest.approx(1.959964, abs=1e-5)
-        assert z.values[2] == pytest.approx(-1.959964, abs=1e-5)
+        u = [0.5, 0.975, 0.025]
+        y = gaussian_quantile_transform(u, mu=10.0, sigma2=2.0)
+        assert y[0] == pytest.approx(10.0, abs=1e-12)
+        z = gaussian_quantile_transform(u, mu=0.0, sigma2=1.0)
+        assert z[1] == pytest.approx(1.959964, abs=1e-5)
+        assert z[2] == pytest.approx(-1.959964, abs=1e-5)
 
     def test_gaussian_rejects_boundary_values(self):
-        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=2, seed=0)
         for bad in ([0.0, 0.5], [0.5, 1.0]):
-            s = Sample(values=np.array(bad), spec=spec)
             with pytest.raises(DomainError):
-                gaussian_quantile_transform(s, 0.0, 1.0)
+                gaussian_quantile_transform(bad, 0.0, 1.0)
 
     def test_gaussian_checks_parameters_before_any_quantile(self, monkeypatch):
         calls = []
@@ -155,7 +152,7 @@ class TestTransforms:
             return 0.0
 
         monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
-        s = ar1_binary_chain(1000, seed=2)
+        s = ar1_binary_chain(1000, seed=2).values
         for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
                            (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
             with pytest.raises(DomainError, match="need a finite mu and sigma2"):
@@ -187,13 +184,10 @@ class TestTransforms:
         monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
         values = np.full(2 * _BLOCK, 0.5)
         values[position] = math.nan
-        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=len(values), seed=0, mu=0.0,
-                           sigma2=1.0)
-        s = Sample(values=values, spec=spec)
         with pytest.raises(DomainError, match="strictly inside"):
-            gaussian_quantile_transform(s, 0.0, 1.0)
+            gaussian_quantile_transform(values, 0.0, 1.0)
         with pytest.raises(DomainError, match="needs values in"):
-            piecewise_quantile_transform(s)
+            piecewise_quantile_transform(values)
         assert calls == []
 
     def test_piecewise_branch_values(self):
@@ -243,30 +237,37 @@ class TestTransforms:
         across = samples[-1].copy()
         across[_BLOCK - 5:_BLOCK + 4] = specials
         for values in samples + [np.array(specials), across]:
-            spec = ProcessSpec(ProcessKind.AR1_BINARY, n=len(values), seed=0)
-            got = piecewise_quantile_transform(Sample(values=values, spec=spec)).values
+            got = piecewise_quantile_transform(values)
             want = two_level_quantile_oracle(values)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), len(values)
 
     def test_piecewise_rejects_outside_unit_interval(self):
-        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=2, seed=0, mu=0.0, sigma2=1.0)
-        s = Sample(values=np.array([0.5, 1.2]), spec=spec)
         with pytest.raises(DomainError):
-            piecewise_quantile_transform(s)
+            piecewise_quantile_transform([0.5, 1.2])
         # a bad value in a later block is found as well
         for bad in (-0.5, 1.5):
             values = np.full(3 * _BLOCK + 5, 0.5)
             values[-1] = bad
-            spec = replace(spec, n=len(values))
             with pytest.raises(DomainError, match="needs values in"):
-                piecewise_quantile_transform(Sample(values=values, spec=spec))
+                piecewise_quantile_transform(values)
 
-    def test_transform_updates_spec_kind(self):
-        s = ar1_binary_chain(50, seed=3)
-        assert piecewise_quantile_transform(s).spec.kind is ProcessKind.AR1_PIECEWISE
-        g = gaussian_quantile_transform(s, 1.0, 4.0)
-        assert g.spec.kind is ProcessKind.AR1_GAUSSIAN
-        assert g.spec.mu == 1.0 and g.spec.sigma2 == 4.0
+    @pytest.mark.parametrize("values", [[], np.zeros((4, 2)), 0.5])
+    def test_transforms_refuse_a_shape_that_is_not_observations(self, values):
+        for transform in (piecewise_quantile_transform,
+                          lambda v: gaussian_quantile_transform(v, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="nonempty 1-D array, got shape"):
+                transform(values)
+
+    def test_generate_labels_its_sample_with_the_given_spec(self):
+        for spec in (ProcessSpec(ProcessKind.AR1_BINARY, n=50, seed=3),
+                     ProcessSpec(ProcessKind.AR1_PIECEWISE, n=50, seed=3),
+                     ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=50, seed=3, mu=1.0, sigma2=4.0),
+                     ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=50, seed=3, gamma=0.5)):
+            assert generate(spec).spec == spec
+
+    def test_generate_refuses_an_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown process kind 'ar2'"):
+            generate(ProcessSpec("ar2", n=5))
 
 
 class TestLsvMap:
@@ -401,6 +402,11 @@ class TestSpecValidation:
             Sample(values=values, spec=spec)
         with pytest.raises(DomainError, match=r"samples live in \[0, 1\]"):
             Sample(values=[math.nan, 0.5], spec=replace(spec, n=2))
+
+    def test_gamma_must_lie_inside_the_unit_interval(self):
+        for gamma in (0.0, 1.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 1\)"):
+                ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=2, gamma=gamma)
 
     def test_seed_must_be_unsigned_64_bit(self):
         with pytest.raises(DomainError):

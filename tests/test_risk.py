@@ -18,11 +18,11 @@ from betadens import (EPANECHNIKOV, BetadensError, DomainError, EmptyEstimate,
                       PiecewisePolyDensity, ProcessKind, ProcessSpec, ReferenceDensity,
                       TrialError, binning_bias, envelope_check, gaussian,
                       histogram_bins_bv, histogram_bins_lsv, histogram_estimate,
-                      loglog_slope, lp_distance, monte_carlo_risk, risk_rows,
-                      step_density, two_level, uniform01)
+                      loglog_slope, lp_distance, monte_carlo_risk, projection_estimate,
+                      risk_rows, step_density, two_level, uniform01)
 from betadens import build_estimate, generate, lsv_trajectory
 from betadens.config import load_config
-from betadens import processes
+from betadens import processes, risk
 from betadens.processes import _BLOCK, REGISTER_KINDS
 from betadens.risk import _MAX_QUAD_PANELS, _trial_risk
 from test_acceptance import REFERENCE_TABLE
@@ -110,6 +110,29 @@ class TestLpDistance:
         lo, hi = domain if domain is not None else reference.support
         got = lp_distance(estimate, reference, p, domain=domain)
         assert got.hex() == _merge_oracle(estimate, reference, p, lo, hi).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=_step_pair(),
+           p=st.one_of(st.just(1.0), st.just(2.0), st.floats(1.0, 4.0)),
+           domain=st.one_of(st.none(), st.tuples(st.floats(-1.5, 2.5),
+                                                  st.floats(-1.5, 2.5))))
+    @example(pair=(_hist_from_heights([0.3, 2.0, 0.0]),
+                   step_density([-0.5, 0.25, 0.75, 1.5], [0.5, 1.5, 0.5])),
+             p=3.5, domain=None)
+    def test_step_density_estimate_has_the_bits_of_its_histogram(self, pair, p, domain):
+        histogram, reference = pair
+        if domain is not None:
+            assume(domain[0] < domain[1])
+        got = lp_distance(_step_of(histogram), reference, p, domain=domain)
+        assert got.hex() == lp_distance(histogram, reference, p, domain=domain).hex()
+
+    def test_step_density_needs_a_step_reference(self):
+        step = step_density((0.0, 0.5, 1.0), (1.5, 0.5))
+        assert lp_distance(step, two_level()) == 0.5
+        with pytest.raises(DomainError, match="only as a step density with a step"):
+            lp_distance(step, gaussian(0.5, 1.0))
+        with pytest.raises(DomainError, match="only as a step density with a step"):
+            lp_distance(gaussian(0.5, 1.0), two_level())
 
     def test_pdf_conventions_at_the_jumps(self):
         # one rule for every step density: closed pieces, the smaller value
@@ -202,6 +225,15 @@ class TestLpDistance:
             with pytest.raises(DomainError):
                 step_density(breaks, (1.0, 1.0))
 
+    def test_step_density_needs_one_more_increasing_break_than_values(self):
+        for breaks, values in (((0.0, 1.0), (1.0, 2.0)), ((0.0, 0.5, 1.0), (1.0,)),
+                               ((0.0,), ())):
+            with pytest.raises(DomainError, match="one or more step values and one more"):
+                step_density(breaks, values)
+        for breaks in ((0.0, 0.5, 0.5), (0.0, 1.0, 0.5)):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                step_density(breaks, (1.0, 1.0))
+
     def test_reference_step_masses(self):
         for ref in (uniform01(), two_level()):
             breaks, values = ref.step_representation()
@@ -279,6 +311,15 @@ class TestBinningBias:
         for p in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 binning_bias(10, two_level(), p)
+
+
+def test_binning_bias_builds_no_histogram(monkeypatch):
+    def refuse(self):
+        raise AssertionError("binning_bias built a PiecewisePolyDensity")
+
+    expected = binning_bias(6, two_level())
+    monkeypatch.setattr(PiecewisePolyDensity, "__post_init__", refuse)
+    assert binning_bias(6, two_level()) == expected
 
 
 # a kernel run on two workers that is still busy when it is killed; argv[1]
@@ -413,6 +454,14 @@ class TestMonteCarlo:
                 risk_rows([(self.SPEC, HistogramSpec(m=0))], two_level(), trials=2, p=p,
                           workers=2)
 
+    def test_no_trials_rejected_before_any_trial(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(risk, "_trial_risk", ran.append)
+        for trials in (0, -2):
+            with pytest.raises(DomainError, match=f"need at least one trial, got {trials}"):
+                risk_rows([(self.SPEC, HistogramSpec(m=5))], two_level(), trials=trials)
+        assert ran == []
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     @pytest.mark.parametrize("method", sorted(_RUN_DESCENDANTS))
     def test_killed_run_leaves_no_worker(self, method):
@@ -530,6 +579,11 @@ class TestBuildEstimate:
         with pytest.raises(DomainError, match="bin count must be >= 1"):
             build_estimate(spec, HistogramSpec(m=0))
 
+    def test_unknown_estimator_config_is_refused(self):
+        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=20, seed=3)
+        with pytest.raises(DomainError, match="unknown estimator config"):
+            build_estimate(spec, "histogram")
+
 
 class TestEnvelope:
     def test_iid_sampling_from_equivalent_density(self):
@@ -564,6 +618,15 @@ class TestEnvelope:
         est = _hist_from_heights(np.ones(4))
         with pytest.raises(DomainError):
             envelope_check(est, 0.5, skip_bins=4)
+
+    def test_needs_a_histogram_and_gamma_inside_the_unit_interval(self):
+        values = [0.1, 0.4, 0.8]
+        for est in (projection_estimate(values, 4, 1), KernelDensity(values, EPANECHNIKOV, 0.2)):
+            with pytest.raises(DomainError, match="expects a histogram estimate"):
+                envelope_check(est, 0.5)
+        for gamma in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 1\)"):
+                envelope_check(histogram_estimate(values, 4), gamma)
 
 
 class TestLoglogSlope:

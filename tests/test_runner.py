@@ -15,6 +15,7 @@ from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_c
                              serialize_config)
 from betadens.csvio import read_csv
 from betadens.runner import _RUNNERS, run_experiment
+from betadens.svg import SvgFigure
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -334,3 +335,10 @@ def test_shipped_configs_parse():
         config = load_config(path)
         assert parse_config(serialize_config(config)) == config
     assert set(_RUNNERS) == set(EXPERIMENTS)
+
+
+def test_svg_limits_must_increase():
+    figure = SvgFigure()
+    for xlim, ylim in (((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (2.0, -1.0))):
+        with pytest.raises(ValueError, match="axis limits must be increasing"):
+            figure.set_limits(xlim, ylim)

@@ -53,6 +53,12 @@ class TestKernelBandwidth:
         for constant in (math.nan, -1.0, 0.0, math.inf):
             with pytest.raises(DomainError):
                 kernel_bandwidth(100, RateRegime(), constant)
+        for gamma in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 1\)"):
+                RateRegime(gamma=gamma)
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="n must be >= 1"):
+                kernel_bandwidth(n, RateRegime())
 
 
 class TestHistogramBins:
@@ -99,6 +105,9 @@ class TestHistogramBins:
                 histogram_bins_bv(1000, constant)
         with pytest.raises(DomainError):
             histogram_bins_lsv(100, 1.0)
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="n must be >= 1"):
+                histogram_bins_lsv(n, 0.5)
 
 
 class TestRateExponent:
@@ -145,3 +154,7 @@ class TestEquivalentDensity:
             equivalent_density(0.0, 0.5)
         with pytest.raises(DomainError):
             equivalent_density(1.5, 0.5)
+        for gamma in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 1\)"):
+                equivalent_density(0.5, gamma)
+
