@@ -8,7 +8,7 @@ chain.  Run as
     PYTHONPATH=src python notes/criterion1_protocols.py [--table risk_table.csv]
 
 Without --table it first runs configs/table_risk_sweep.cfg (300 trials a row,
-2.4-2.8 s on two cores with the default 2 workers).  The lower bound and the
+1.4-1.5 s on two cores with the default 2 workers).  The lower bound and the
 candidate protocols use the first 60 trials of every row, on the sweep's own
 seeds.
 """

@@ -190,7 +190,8 @@ class Sample:
     spec: ProcessSpec
 
     def __post_init__(self):
-        values = observations(self.values)
+        # a copy, so that freezing it leaves the caller's array writeable
+        values = observations(np.array(self.values, dtype=float))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if len(values) != self.spec.n:

@@ -377,6 +377,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             s.values[0] = 0.5
 
+    def test_sample_freezes_a_copy(self):
+        a = np.full(4, 0.5)
+        s = Sample(a, ProcessSpec(ProcessKind.AR1_BINARY, n=4))
+        assert a.flags.writeable and not s.values.flags.writeable
+        a[0] = 0.25
+        assert s.values.tolist() == [0.5] * 4
+
     def test_sample_length_must_match_spec(self):
         spec = ProcessSpec(ProcessKind.AR1_BINARY, n=3, seed=0)
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from betadens import processes, risk
 from betadens.processes import _BLOCK, REGISTER_KINDS
 from betadens.risk import _MAX_QUAD_PANELS, _trial_risk
 from test_acceptance import REFERENCE_TABLE
-from test_runner import CONFIG_DIR, ROOT
+from test_runner import CONFIG_DIR, ROOT, count_pools
 
 
 def _hist_from_heights(heights):
@@ -107,7 +108,9 @@ class TestLpDistance:
         estimate, reference = pair
         if domain is not None:
             assume(domain[0] < domain[1])
-        lo, hi = domain if domain is not None else reference.support
+        # the default domain spans the breaks of both sides
+        eb, rb = estimate.breakpoints(), reference.breaks
+        lo, hi = domain if domain is not None else (min(eb[0], rb[0]), max(eb[-1], rb[-1]))
         got = lp_distance(estimate, reference, p, domain=domain)
         assert got.hex() == _merge_oracle(estimate, reference, p, lo, hi).hex()
 
@@ -125,6 +128,14 @@ class TestLpDistance:
             assume(domain[0] < domain[1])
         got = lp_distance(_step_of(histogram), reference, p, domain=domain)
         assert got.hex() == lp_distance(histogram, reference, p, domain=domain).hex()
+
+    def test_default_domain_spans_both_step_functions(self):
+        # the estimate's mass on (0, 0.5], off the reference's support, counts
+        histogram = _hist_from_heights([1.0, 1.0])
+        reference = step_density((0.5, 1.0), (2.0,))
+        assert lp_distance(histogram, reference) == 1.0
+        assert lp_distance(_step_of(histogram), reference) == 1.0
+        assert lp_distance(histogram, reference, domain=(0.5, 1.0)) == 0.5
 
     def test_step_density_needs_a_step_reference(self):
         step = step_density((0.0, 0.5, 1.0), (1.5, 0.5))
@@ -286,9 +297,7 @@ class TestBinningBias:
     def test_equals_distance_of_bin_averaged_histogram(self, p):
         for ref in self._references():
             for m in range(1, 65):
-                # a domain past both supports, so no part of either side is cut off
-                expected = lp_distance(_hist_from_heights(_bin_averages(ref, m)), ref, p,
-                                       domain=(-1.0, 2.0))
+                expected = lp_distance(_hist_from_heights(_bin_averages(ref, m)), ref, p)
                 assert binning_bias(m, ref, p) == pytest.approx(expected, rel=1e-12,
                                                                 abs=1e-14)
 
@@ -335,6 +344,23 @@ monte_carlo_risk(spec, KernelEstimatorSpec(), gaussian(0.0, 1.0), trials=40, wor
 # the killed run's descendants: its two workers, plus the resource tracker
 # under spawn and forkserver, plus the fork server itself
 _RUN_DESCENDANTS = {"fork": 2, "spawn": 3, "forkserver": 4}
+
+# minor page faults per trial over trials 3-10 of ten sweep-sized trials,
+# with the pool worker's allocator setting (argv[1] == "1") or without it
+_TRIAL_FAULTS = """
+import resource, sys
+from dataclasses import replace
+from betadens import HistogramSpec, ProcessKind, ProcessSpec, two_level
+from betadens import risk
+if sys.argv[1] == "1":
+    risk._keep_freed_memory()
+spec = ProcessSpec(ProcessKind.AR1_PIECEWISE, n=110_000)
+for t in range(1, 11):
+    if t == 3:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    risk._trial_risk((t, replace(spec, seed=t), HistogramSpec(m=47), two_level(), 1.0))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 8)
+"""
 
 
 def _exit_at_once(*task):
@@ -494,6 +520,27 @@ class TestMonteCarlo:
             for p in below:
                 if _running(p):
                     os.kill(p, signal.SIGKILL)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
+    def test_worker_keeps_freed_memory(self):
+        # without the setting each trial gives its arrays back to the kernel
+        # and faults them in again (373 faults a trial on glibc 2.36); with it
+        # a trial of the sweep's size reuses its heap
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        faults = [float(subprocess.run([sys.executable, "-c", _TRIAL_FAULTS, setting],
+                                       env=env, capture_output=True, text=True,
+                                       check=True, timeout=120).stdout)
+                  for setting in ("0", "1")]
+        assert faults[0] > 100 and faults[1] < 10, faults
+
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        report = monte_carlo_risk(self.SPEC, HistogramSpec(m=11), two_level(), trials=2,
+                                  workers=8, master_seed=3)
+        assert started == [2]
+        assert report == monte_carlo_risk(self.SPEC, HistogramSpec(m=11), two_level(),
+                                          trials=2, master_seed=3)
 
     def test_dead_worker_raises_trial_error(self, monkeypatch):
         # every worker dies on its first task: no trial gets a value, so the

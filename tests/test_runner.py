@@ -34,6 +34,19 @@ def _run(text, out):
     return run_experiment(parse_config(text), out_dir=out)
 
 
+def count_pools(monkeypatch):
+    """The max_workers of every Monte Carlo pool started from here on."""
+    started = []
+
+    class CountingPool(risk.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
 def _golden_digests(workload, name):
     # the benchmark's recorded digests of member 0, whose inputs are the
     # shipped seeds, for the outputs of config `name`
@@ -58,14 +71,7 @@ class TestExperiments:
         assert [int(r[1]) for r in rows] == [10, 12, 14]
 
     def test_risk_table_sweep_starts_one_pool(self, tmp_path, monkeypatch):
-        started = []
-
-        class CountingPool(risk.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(risk, "ProcessPoolExecutor", CountingPool)
+        started = count_pools(monkeypatch)
         files = _run("experiment = risk-table-sweep\nn_grid = 1000,2000,3000\n"
                      "trials = 4\nmaster_seed = 7\nthreads = 2\n", tmp_path)
         assert started == [2]
