@@ -4,12 +4,12 @@ Each takes the observations alone, as any nonempty 1-D array-like of floats
 (`observations` refuses any other shape), and gives an immutable value
 object with a vectorized `evaluate` method.  A projection estimate is its
 coefficient array alone: the degree and the bin count are its shape.
-Histograms are the degree-0 special case.
+Histograms are the degree-0 special case; `histogram_from_counts` makes one
+from bin counts, as `processes.bin_counts` gives them for a process.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +17,7 @@ import numpy as np
 from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
-from .processes import (PREFIX_BITS, ProcessKind, ProcessSpec, chain_bin_counts,
-                        lsv_blocks, observations, register_values)
+from .processes import bin_index, observations
 from .quadrature import panel_nodes
 
 # sample values one gather of KernelDensity.evaluate holds at most (unless
@@ -168,18 +167,6 @@ class PiecewisePolyDensity:
 DensityEstimate = KernelDensity | PiecewisePolyDensity
 
 
-def _check_bins(m: int) -> None:
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
-
-
-def _bin_index(values: np.ndarray, m: int) -> np.ndarray:
-    """Bin j of ((j-1)/m, j/m] of each value; 0 for x <= 0 and m + 1 for
-    x > 1 or NaN, the two bins an estimate drops."""
-    with np.errstate(over="ignore"):
-        return np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
-
-
 def _projection(coeffs: np.ndarray, counts: np.ndarray, n: int) -> PiecewisePolyDensity:
     """The estimate of n values from their counts in bins 1..m (row 0, as
     Q_1 = 1) and the basis sums of the higher rows already in `coeffs`."""
@@ -195,11 +182,12 @@ def projection_estimate(values, m: int, degree: int) -> PiecewisePolyDensity:
     Values outside (0, 1] contribute zero, matching the zero extension of the
     base polynomials.
     """
-    _check_bins(m)
+    if m < 1:
+        raise DomainError(f"bin count must be >= 1, got {m}")
     basis = build_poly_basis(degree)
     values = observations(values)
     coeffs = np.empty((degree + 1, m))
-    j = _bin_index(values, m)
+    j = bin_index(values, m)
     if degree:
         # t of the dropped bins is clipped to [0, 1] (or NaN) to raise no warning
         with np.errstate(over="ignore"):
@@ -214,47 +202,10 @@ def histogram_estimate(values, m: int) -> PiecewisePolyDensity:
     return projection_estimate(values, m, 0)
 
 
-@functools.lru_cache(maxsize=256)
-def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
-    """Per register prefix, the bin of the chain values of `kind`, or m + 2
-    where the prefix's registers fall in more than one bin.
-
-    Register -> value -> bin is non-decreasing: `register_values` rounds
-    once, each piece breaks[i] + (1/values[i])(u - cdf[i]) of the `two_level`
-    quantile rounds monotone steps and meets the next at 1/4 or 3/4 exactly,
-    then the clamped ceil.  So a prefix whose end registers share a bin has one bin.
-    A prefix is the top bits of window 56, so prefix p's lowest register has
-    the halves hi = p 2^20 and lo = 0, its highest hi = p 2^20 + 2^20 - 1 and
-    lo = 2^32 - 1 (PREFIX_BITS = 12).
-    """
-    hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
-    lo = np.zeros_like(hi)
-    first = _bin_index(register_values(kind, hi, lo), m)
-    last = _bin_index(register_values(kind, hi | (2**(32 - PREFIX_BITS) - 1), ~lo), m)
-    table = np.where(first == last, first, m + 2).astype(np.min_scalar_type(m + 2))
-    table.flags.writeable = False
-    return table
-
-
-def chain_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
-    """histogram_estimate(generate(spec).values, m), bit for bit, counted from the
-    chain's register prefixes (`chain_bin_counts`); for the binary chain and
-    its piecewise quantile transform."""
-    _check_bins(m)
-    counts = chain_bin_counts(spec, _prefix_bins(spec.kind, m), m + 2,
-                              lambda values: _bin_index(values, m))
-    return _projection(np.empty((1, m)), counts[1:-1], spec.n)
-
-
-def lsv_histogram(spec: ProcessSpec, m: int) -> PiecewisePolyDensity:
-    """histogram_estimate(generate(spec).values, m), bit for bit, counted block by
-    block (`lsv_blocks`), so the n-value trajectory is never held at once;
-    counts are integers, so the block order cannot change a bit."""
-    _check_bins(m)
-    counts = np.zeros(m + 2, dtype=np.intp)
-    for block in lsv_blocks(spec):
-        counts += np.bincount(_bin_index(block, m), minlength=m + 2)
-    return _projection(np.empty((1, m)), counts[1:-1], spec.n)
+def histogram_from_counts(counts, n: int) -> PiecewisePolyDensity:
+    """The regular histogram of n values from their counts in bins 1..m,
+    bit for bit histogram_estimate of those values."""
+    return _projection(np.empty((1, len(counts))), counts, n)
 
 
 def estimate_mass(estimate: DensityEstimate) -> float:

@@ -11,6 +11,8 @@ All processes are strictly stationary on [0, 1] (or transforms thereof):
 Randomness comes from a counter-based generator (Philox) keyed by the seed,
 so identical specs reproduce bit-identical samples on any platform and
 Monte Carlo trials can derive independent streams as seed XOR trial index.
+
+`bin_counts` counts the histogram of every process on the bins of `bin_index`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .normal import norm_ppf
 
 DEFAULT_BURN_IN = 1000
 _BLOCK = 8192  # values per block of lsv_blocks
-PREFIX_BITS = 12  # register bits that index the table of chain_bin_counts
+PREFIX_BITS = 12  # register bits that index the table of _prefix_bins
 
 
 class ProcessKind(enum.Enum):
@@ -291,26 +293,61 @@ def register_values(kind: ProcessKind, hi: np.ndarray, lo: np.ndarray) -> np.nda
     return two_level().quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
 
 
-def chain_bin_counts(spec: ProcessSpec, table: np.ndarray, bins: int,
-                     bins_of) -> np.ndarray:
-    """The `bins` counts per bin of the values of the chain `spec`, with no
-    value built but those whose register prefix leaves the bin open.
+def bin_index(values, m: int) -> np.ndarray:
+    """Bin j of ((j-1)/m, j/m] of each value; 0 for x <= 0 and m + 1 for
+    x > 1 or NaN, the two bins an estimate drops."""
+    with np.errstate(over="ignore"):
+        return np.fmax(np.fmin(np.ceil(values * m), m + 1.0), 0.0).astype(np.intp)
 
-    table[p] is the bin shared by every register whose top PREFIX_BITS bits
-    are p, or `bins` where the registers of p fall in more than one bin;
-    those registers go through `register_values` and bins_of(values).
+
+@functools.lru_cache(maxsize=256)
+def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
+    """Per register prefix, the bin of the chain values of `kind`, or m + 2
+    where the prefix's registers fall in more than one bin.
+
+    Register -> value -> bin is non-decreasing: `register_values` rounds
+    once, each piece breaks[i] + (1/values[i])(u - cdf[i]) of the `two_level`
+    quantile rounds monotone steps and meets the next at 1/4 or 3/4 exactly,
+    then the clamped ceil.  So a prefix whose end registers share a bin has one bin.
+    A prefix is the top bits of window 56, so prefix p's lowest register has
+    the halves hi = p 2^20 and lo = 0, its highest hi = p 2^20 + 2^20 - 1 and
+    lo = 2^32 - 1 (PREFIX_BITS = 12).
     """
-    w16 = _windows16(spec.n, spec.burn_in, spec.seed)
-    top = w16[56 + spec.burn_in:56 + spec.burn_in + spec.n]
-    found = np.take(table, top >> (16 - PREFIX_BITS))
-    counts = np.bincount(found, minlength=bins + 1)
-    if counts[bins]:
-        i = np.flatnonzero(found == bins) + (56 + spec.burn_in)
-        hi = (w16[i].astype(np.uint32) << 16) | w16[i - 16]
-        lo = (w16[i - 32].astype(np.uint32) << 16) | w16[i - 48]
-        counts[:bins] += np.bincount(bins_of(register_values(spec.kind, hi, lo)),
-                                     minlength=bins)
-    return counts[:bins]
+    hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
+    lo = np.zeros_like(hi)
+    first = bin_index(register_values(kind, hi, lo), m)
+    last = bin_index(register_values(kind, hi | (2**(32 - PREFIX_BITS) - 1), ~lo), m)
+    table = np.where(first == last, first, m + 2).astype(np.min_scalar_type(m + 2))
+    table.flags.writeable = False
+    return table
+
+
+def bin_counts(spec: ProcessSpec, m: int) -> np.ndarray:
+    """The counts in bins 1..m of `bin_index` of generate(spec).values, bit
+    for bit; DomainError for m < 1 before any value is made.  A chain is
+    counted from its register prefixes, making only the values whose prefix
+    `_prefix_bins` leaves open; an lsv trajectory block by block, so its
+    values are never held at once; any other kind from its sample."""
+    if m < 1:
+        raise DomainError(f"bin count must be >= 1, got {m}")
+    if spec.kind in REGISTER_KINDS:
+        w16 = _windows16(spec.n, spec.burn_in, spec.seed)
+        top = w16[56 + spec.burn_in:56 + spec.burn_in + spec.n]
+        found = np.take(_prefix_bins(spec.kind, m), top >> (16 - PREFIX_BITS))
+        counts = np.bincount(found, minlength=m + 3)
+        if counts[m + 2]:
+            i = np.flatnonzero(found == m + 2) + (56 + spec.burn_in)
+            hi = (w16[i].astype(np.uint32) << 16) | w16[i - 16]
+            lo = (w16[i - 32].astype(np.uint32) << 16) | w16[i - 48]
+            counts[:m + 2] += np.bincount(bin_index(register_values(spec.kind, hi, lo), m),
+                                          minlength=m + 2)
+    elif spec.kind is ProcessKind.LSV_TRAJECTORY:
+        counts = np.zeros(m + 2, dtype=np.intp)
+        for block in lsv_blocks(spec):
+            counts += np.bincount(bin_index(block, m), minlength=m + 2)
+    else:
+        counts = np.bincount(bin_index(generate(spec).values, m), minlength=m + 2)
+    return counts[1:m + 1]
 
 
 def gaussian_quantile_transform(values, mu: float, sigma2: float) -> np.ndarray:

@@ -3,7 +3,9 @@
 The distance between two step functions, a histogram or a step density
 against a step reference, is computed exactly by merging the two breakpoint
 sets and summing closed-form pieces; everything else goes through panel
-quadrature split at all known breakpoints.  Trial t of a row runs on seed
+quadrature split at all known breakpoints.  Both default to a domain that
+spans both sides.  An estimate is made from `processes.bin_counts` or the
+sample's values, never from a process kind.  Trial t of a row runs on seed
 row_seed XOR t, where a sweep's row_seed is master_seed XOR
 (n 0x9E3779B97F4A7C15 mod 2^64), and trials are reduced in trial order, so
 reports are identical for any worker count.  Nearby master seeds share
@@ -27,11 +29,10 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from .errors import DomainError, EmptyEstimate, TrialError
-from .estimators import (KernelDensity, PiecewisePolyDensity, chain_histogram,
-                         histogram_estimate, lsv_histogram)
+from .estimators import KernelDensity, PiecewisePolyDensity, histogram_from_counts
 from .kernels import kernel_by_name, silverman_bandwidth
-from .processes import (REGISTER_KINDS, ProcessKind, ProcessSpec, ReferenceDensity,
-                        gaussian, generate, step_density)  # gaussian: re-exported
+from .processes import (ProcessSpec, ReferenceDensity, bin_counts, gaussian, generate,
+                        step_density)  # gaussian: re-exported
 from .quadrature import integrate_adaptive
 
 _MAX_QUAD_PANELS = 2048
@@ -66,14 +67,15 @@ def _check_exponent(p: float) -> None:
 
 def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
                 domain: tuple[float, float] | None = None) -> float:
-    """integral over `domain` of |f_n - f|^p.
+    """integral over `domain` of |f_n - f|^p; the default domain spans the
+    breakpoints of the estimate and the breaks, or the support, of the
+    reference, so no mass of either side is left out.
 
     Exact when a histogram or a step `ReferenceDensity` meets a step
     reference: both sides are read on their half-open pieces at the
-    midpoints of the merged breaks (`_step_value`), and the default domain
-    spans the breaks of both.  Adaptive Gauss-Legendre split at all known
-    breakpoints for any other estimate, by default over the reference's
-    support; a step density against a smooth reference raises DomainError.
+    midpoints of the merged breaks (`_step_value`).  Adaptive Gauss-Legendre
+    split at all known breakpoints for any other estimate; a step density
+    against a smooth reference raises DomainError.
     """
     _check_exponent(p)
     step = reference.step_representation()
@@ -91,7 +93,7 @@ def lp_distance(estimate, reference: ReferenceDensity, p: float = 1.0,
             eb = np.linspace(eb[0], eb[-1], _MAX_QUAD_PANELS + 1)
     rb = np.asarray(reference.breaks or reference.support)
     if domain is None:
-        domain = reference.support if ev is None else (min(eb[0], rb[0]), max(eb[-1], rb[-1]))
+        domain = (min(eb[0], rb[0]), max(eb[-1], rb[-1]))
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise DomainError(f"domain must be a finite nonempty interval, got {domain}")
@@ -151,17 +153,10 @@ EstimatorSpec = HistogramSpec | KernelEstimatorSpec
 
 
 def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
-    """The estimate `config` of a realization of `spec`.  A histogram of the
-    binary chain or of its piecewise transform is counted from the chain's
-    registers (`chain_histogram`), one of an lsv trajectory block by block
-    (`lsv_histogram`), any other estimate is built from generate(spec).values;
-    all give the same bits."""
+    """The estimate `config` of a realization of `spec`: a histogram from the
+    counts of `bin_counts`, a kernel estimate from generate(spec).values."""
     if isinstance(config, HistogramSpec):
-        if spec.kind in REGISTER_KINDS:
-            return chain_histogram(spec, config.m)
-        if spec.kind is ProcessKind.LSV_TRAJECTORY:
-            return lsv_histogram(spec, config.m)
-        return histogram_estimate(generate(spec).values, config.m)
+        return histogram_from_counts(bin_counts(spec, config.m), spec.n)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
         values = generate(spec).values

@@ -54,7 +54,10 @@ def histogram_bins_bv(n: int, constant: float = 1.0) -> int:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 < constant < math.inf:
         raise DomainError(f"bin constant must be finite and > 0, got {constant}")
-    return _floor_power(constant * float(n) ** (1.0 / 3.0))
+    bins = constant * float(n) ** (1.0 / 3.0)
+    if bins == math.inf:
+        raise DomainError(f"bin count C n^(1/3) overflows at C = {constant}, n = {n}")
+    return _floor_power(bins)
 
 
 def histogram_bins_lsv(n: int, gamma: float) -> int:

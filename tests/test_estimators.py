@@ -10,9 +10,8 @@ from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelDens
                       KernelSpec, PiecewisePolyDensity, ProcessKind, ProcessSpec,
                       UnsupportedDegree, build_poly_basis, estimate_mass, generate,
                       histogram_estimate, projection_estimate, silverman_bandwidth)
-from betadens.estimators import (_GATHER_ELEMENTS, _prefix_bins, chain_histogram,
-                                 lsv_histogram)
-from betadens.processes import PREFIX_BITS, REGISTER_KINDS
+from betadens.estimators import _GATHER_ELEMENTS
+from betadens.processes import PREFIX_BITS, REGISTER_KINDS, _prefix_bins, lsv_blocks
 from test_processes import two_level_quantile_oracle
 
 
@@ -287,14 +286,15 @@ class TestChainHistogram:
             assert np.all(np.diff(_pipeline_bins(kind, registers, m)) >= 0), m
 
     def test_refuses_processes_without_registers(self):
-        lsv = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=10, seed=1, gamma=0.5)
+        # the prefix table reads values off registers, which an lsv map has none of
         with pytest.raises(DomainError, match="chain registers"):
-            chain_histogram(lsv, 4)
+            _prefix_bins(ProcessKind.LSV_TRAJECTORY, 4)
 
     @pytest.mark.parametrize("kind", REGISTER_KINDS)
     def test_lsv_count_refuses_other_processes(self, kind):
+        # the blocks that bin_counts counts an lsv trajectory from
         with pytest.raises(DomainError, match="not an lsv trajectory"):
-            lsv_histogram(ProcessSpec(kind, n=10, seed=1), 4)
+            next(lsv_blocks(ProcessSpec(kind, n=10, seed=1)))
 
 
 class TestProjection:

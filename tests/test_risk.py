@@ -137,6 +137,20 @@ class TestLpDistance:
         assert lp_distance(_step_of(histogram), reference) == 1.0
         assert lp_distance(histogram, reference, domain=(0.5, 1.0)) == 0.5
 
+    def test_default_quadrature_domain_spans_both_sides(self):
+        # the kernel estimate's mass on [6.5, 8], off the reference's support
+        # [-6, 6], counts: the two densities are apart, so the distance is 2
+        estimate = KernelDensity([7.0, 7.2, 7.5], EPANECHNIKOV, 0.5)
+        reference = gaussian(0.0, 1.0)
+        got = lp_distance(estimate, reference)
+        assert got == pytest.approx(2.0, abs=1e-7)
+        assert got == lp_distance(estimate, reference, domain=(-6.0, 8.0))
+        assert got == pytest.approx(lp_distance(estimate, reference, domain=(-8.0, 9.0)),
+                                    abs=1e-7)
+        # a positive linear estimate of mass 1 on (0, 1] against N(10, 2)
+        linear = PiecewisePolyDensity([[1.0], [0.5]])
+        assert lp_distance(linear, gaussian(10.0, 2.0)) == pytest.approx(2.0, abs=1e-7)
+
     def test_step_density_needs_a_step_reference(self):
         step = step_density((0.0, 0.5, 1.0), (1.5, 0.5))
         assert lp_distance(step, two_level()) == 0.5
@@ -570,16 +584,25 @@ class TestMonteCarlo:
 
 class TestBuildEstimate:
     @settings(max_examples=120, deadline=None)
-    @given(kind=st.sampled_from(REGISTER_KINDS),
+    @given(process=st.sampled_from([
+               *((kind, {}) for kind in REGISTER_KINDS),
+               # counted from generate: mostly inside (0, 1], and all dropped
+               (ProcessKind.AR1_GAUSSIAN, dict(mu=0.5, sigma2=0.04)),
+               (ProcessKind.AR1_GAUSSIAN, dict(mu=10.0, sigma2=2.0))]),
            n=st.sampled_from([1, 31, 32, 33, 63, 64, 65, 8191, 8192, 8193, 110_000]),
            burn_in=st.sampled_from([0, 1, 63, 1000]),
            seed=st.sampled_from([0, 7, 2**64 - 1]),
            m=st.one_of(st.none(), st.integers(1, 300),
                        st.sampled_from([253, 254, 255, 256, 4096, 5000])))
-    def test_counted_histogram_equals_the_sample_histogram(self, kind, n, burn_in, seed, m):
+    def test_counted_histogram_equals_the_sample_histogram(self, process, n, burn_in, seed,
+                                                           m):
         # m None is the BV schedule of n
         m = histogram_bins_bv(n) if m is None else m
-        spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in)
+        kind, marginal = process
+        # the generate route has no prefixes or blocks that a long sample
+        # could reach, and its scalar Gaussian quantile takes 0.4 s at 110,000
+        assume(kind in REGISTER_KINDS or n < 110_000)
+        spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in, **marginal)
         got = build_estimate(spec, HistogramSpec(m=m))
         want = histogram_estimate(generate(spec).values, m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()

@@ -302,6 +302,17 @@ class TestCli:
             assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out").exists() and not (tmp_path / "override").exists()
 
+    def test_overflowing_bin_count_is_reported(self, tmp_path, capsys):
+        # a finite bins_constant whose product with n^(1/3) is not: the BV
+        # schedule refuses it when the sweep builds its rows, with one error line
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("experiment = risk-table-sweep\nn_grid = 1000\ntrials = 2\n"
+                       "bins_constant = 1e308\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bin count C n^(1/3) overflows" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("values, named", [
         (dict(experiment="histogram-two-level-figure", n=0), "n must be >= 1"),
         (dict(experiment="risk-table-sweep", n_grid=(500, 0)), "n_grid entries must be >= 1"),

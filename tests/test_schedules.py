@@ -103,6 +103,8 @@ class TestHistogramBins:
         for constant in (math.nan, math.inf, 0.0, -1.0):
             with pytest.raises(DomainError):
                 histogram_bins_bv(1000, constant)
+        with pytest.raises(DomainError, match="overflows"):
+            histogram_bins_bv(1000, 1e308)
         with pytest.raises(DomainError):
             histogram_bins_lsv(100, 1.0)
         for n in (0, -3):
