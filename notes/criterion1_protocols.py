@@ -64,7 +64,7 @@ def trial_values(n, m, seed, burn_in):
     """Risk of one trial under every protocol, keyed by protocol name."""
     ref = bd.two_level()
     rb, rv = ref.step_representation()
-    u = bd.ar1_binary_chain(n, burn_in, seed).values
+    u = bd.ar1_binary_chain(n, burn_in, seed)
     y = ref.quantile(u)
     hist = bd.histogram_estimate(y, m)
     heights = hist.bin_values()

@@ -11,9 +11,9 @@ from .kernels import (EPANECHNIKOV, KERNELS, RECTANGULAR, TRIANGULAR, KernelSpec
                       kernel_by_name, silverman_bandwidth)
 from .normal import norm_cdf, norm_ppf
 from .processes import (DEFAULT_BURN_IN, ProcessKind, ProcessSpec, ReferenceDensity,
-                        Sample, ar1_binary_chain, ar1_step, gaussian,
-                        gaussian_quantile_transform, generate, lsv_step, lsv_trajectory,
-                        piecewise_quantile_transform, step_density, two_level, uniform01)
+                        ar1_binary_chain, ar1_step, gaussian, gaussian_quantile_transform,
+                        generate, lsv_step, lsv_trajectory, piecewise_quantile_transform,
+                        step_density, two_level, uniform01)
 from .risk import (EstimatorSpec, HistogramSpec, KernelEstimatorSpec, RiskReport,
                    binning_bias, build_estimate, envelope_check, loglog_slope,
                    lp_distance, monte_carlo_risk, risk_rows, row_seed)

@@ -38,11 +38,13 @@ def format_float(x: float) -> str:
 
 
 def emit_csv(path, header, rows) -> Path:
-    """Write one table; every cell is formatted through format_value."""
+    """Write one table, making its directory if need be; every cell is
+    formatted through format_value."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
+    path.parent.mkdir(parents=True, exist_ok=True)
     # bytes, not text mode: CRLF must survive on every platform
     path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
     return path

@@ -4,14 +4,15 @@ All processes are strictly stationary on [0, 1] (or transforms thereof):
 
 * the dyadic AR(1) chain X_{k+1} = (X_k + eps_{k+1}) / 2 with fair-coin
   innovations and uniform initial state,
-* its transforms by the quantile of a `ReferenceDensity`, the Gaussian or the
-  two-level density, whose `pdf` the estimates are compared with,
+* its transforms by the quantile of its marginal `ReferenceDensity`, the
+  Gaussian or the two-level density, whose `pdf` the estimates are compared
+  with; `ProcessSpec.marginal` is the one place a kind decides it,
 * trajectories of the intermittent interval map with parameter gamma.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed,
-so identical specs reproduce bit-identical samples on any platform and
+so identical specs reproduce bit-identical values on any platform and
 Monte Carlo trials can derive independent streams as seed XOR trial index.
-
+`generate` makes the values of a spec as a read-only float64 array, and
 `bin_counts` counts the histogram of every process on the bins of `bin_index`.
 """
 
@@ -39,11 +40,6 @@ class ProcessKind(enum.Enum):
     LSV_TRAJECTORY = "lsv"
 
 
-# the kinds whose values `register_values` makes, monotonically, from the
-# chain's 64-bit register hi 2^32 + lo
-REGISTER_KINDS = (ProcessKind.AR1_BINARY, ProcessKind.AR1_PIECEWISE)
-
-
 @dataclass(frozen=True)
 class ProcessSpec:
     """Declarative description of a data-generating process."""
@@ -57,6 +53,8 @@ class ProcessSpec:
     sigma2: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProcessKind):
+            raise DomainError(f"unknown process kind {self.kind!r}")
         if self.n < 1:
             raise DomainError(f"sample length must be >= 1, got {self.n}")
         if self.burn_in < 0:
@@ -72,6 +70,19 @@ class ProcessSpec:
             raise DomainError("mu/sigma2 are required exactly for the gaussian transform")
         if is_gaussian:
             gaussian(self.mu, self.sigma2)   # raises on a bad mu or sigma2
+
+    @property
+    def marginal(self) -> ReferenceDensity | None:
+        """The density of each chain value: `uniform01` for ar1-binary,
+        `two_level` for ar1-piecewise, N(mu, sigma2) for ar1-gaussian; None
+        for lsv, whose invariant density has no closed form."""
+        if self.kind is ProcessKind.AR1_BINARY:
+            return uniform01()
+        if self.kind is ProcessKind.AR1_PIECEWISE:
+            return two_level()
+        if self.kind is ProcessKind.AR1_GAUSSIAN:
+            return gaussian(self.mu, self.sigma2)
+        return None
 
 
 @dataclass(frozen=True)
@@ -161,7 +172,10 @@ class ReferenceDensity:
         return np.asarray(self.breaks), np.asarray(self.values)
 
 
+@functools.cache   # one instance, so the quantile's pieces are made once
 def uniform01() -> ReferenceDensity:
+    """The marginal of the binary chain; its quantile 0 + 1 (u - 0) is u
+    bit for bit."""
     return step_density((0.0, 1.0), (1.0,))
 
 
@@ -184,28 +198,6 @@ def step_density(breaks, values) -> ReferenceDensity:
     return ReferenceDensity(breaks=breaks, values=values)
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Immutable realization (Y_1, ..., Y_n) of a process."""
-
-    values: np.ndarray
-    spec: ProcessSpec
-
-    def __post_init__(self):
-        # a copy, so that freezing it leaves the caller's array writeable
-        values = observations(np.array(self.values, dtype=float))
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if len(values) != self.spec.n:
-            raise DomainError(
-                f"sample has {len(values)} values but spec.n = {self.spec.n}")
-        if self.spec.kind is not ProcessKind.AR1_GAUSSIAN:
-            _check_unit(values, self.spec.kind)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def observations(values) -> np.ndarray:
     """The observations `values` as a float64 array, returned as it is when
     it is one; DomainError naming the shape unless it is 1-D and nonempty."""
@@ -214,12 +206,6 @@ def observations(values) -> np.ndarray:
         raise DomainError(f"observations must be a nonempty 1-D array, got shape "
                           f"{values.shape}")
     return values
-
-
-def _check_unit(values: np.ndarray, kind: ProcessKind) -> None:
-    # one min/max pair over the whole array; a NaN fails the comparison
-    if not (0.0 <= values.min() and values.max() <= 1.0):
-        raise DomainError(f"{kind.value} samples live in [0, 1]")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -262,35 +248,37 @@ def _windows16(n: int, burn_in: int, seed: int) -> np.ndarray:
     return w16
 
 
-def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> Sample:
-    """Sample the dyadic AR(1) chain after discarding `burn_in` steps.
+def _chain_registers(spec: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 halves hi, lo of the registers of the chain values of `spec`.
 
     The recursion X_{k+1} = (X_k + eps_{k+1})/2 prepends each innovation bit
     to the binary expansion of the state, so the k-th iterate is the 64-bit
-    sliding window over one bit stream (`_windows16`).  Value k is the
-    register W[k] 2^32 + W[k-32] of its 32-bit windows W times 2^-64, rounded
-    once (`register_values`), so it is within 2^-64 of the exact real
-    recursion; W[k] joins 16-bit windows 56 and 40, W[k-32] windows 24 and 8.
+    sliding window over one bit stream (`_windows16`).  Value k has the
+    register W[k] 2^32 + W[k-32] of its 32-bit windows W; W[k] joins 16-bit
+    windows 56 and 40, W[k-32] windows 24 and 8.
     """
-    spec = ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
-    w16 = _windows16(n, burn_in, seed)
+    w16 = _windows16(spec.n, spec.burn_in, spec.seed)
     w32 = (w16[16:].astype(np.uint32) << 16) | w16[:-16]    # entry i: window at i + 24
-    values = register_values(ProcessKind.AR1_BINARY, w32[40 + burn_in:],
-                             w32[8 + burn_in:8 + burn_in + n])
-    return Sample(values=values, spec=spec)
+    return w32[40 + spec.burn_in:], w32[8 + spec.burn_in:8 + spec.burn_in + spec.n]
 
 
-def register_values(kind: ProcessKind, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The values `generate` gives a chain of `kind` at the registers
-    hi 2^32 + lo, from their uint32 halves: (hi 2^32 + lo) 2^-64 rounded once
-    to nearest-even, as float(register) 2^-64 is, then its quantile.  A
-    chain's hi joins its 16-bit windows 56 and 40, lo windows 24 and 8."""
-    if kind not in REGISTER_KINDS:
-        raise DomainError(f"{kind.value} values are not read off chain registers")
+def ar1_binary_chain(n: int, burn_in: int = DEFAULT_BURN_IN, seed: int = 0) -> np.ndarray:
+    """The dyadic AR(1) chain after discarding `burn_in` steps: each value is
+    its register times 2^-64, rounded once (`register_values`), so it is
+    within 2^-64 of the exact real recursion."""
+    return generate(ProcessSpec(kind=ProcessKind.AR1_BINARY, n=n, seed=seed,
+                                burn_in=burn_in))
+
+
+def register_values(marginal: ReferenceDensity, hi: np.ndarray,
+                    lo: np.ndarray) -> np.ndarray:
+    """The values of a chain with `marginal` at the registers hi 2^32 + lo,
+    from their uint32 halves: (hi 2^32 + lo) 2^-64 rounded once to
+    nearest-even, as float(register) 2^-64 is, then its quantile."""
     values = lo * 2.0**-32
     values += hi
     values *= 2.0**-32
-    return two_level().quantile(values) if kind is ProcessKind.AR1_PIECEWISE else values
+    return marginal.quantile(values)
 
 
 def bin_index(values, m: int) -> np.ndarray:
@@ -301,52 +289,58 @@ def bin_index(values, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _prefix_bins(kind: ProcessKind, m: int) -> np.ndarray:
-    """Per register prefix, the bin of the chain values of `kind`, or m + 2
-    where the prefix's registers fall in more than one bin.
+def _prefix_bins(marginal: ReferenceDensity, m: int) -> np.ndarray:
+    """Per register prefix, the bin of the chain values with the step density
+    `marginal`, or m + 2 where the prefix's registers fall in more than one bin.
 
     Register -> value -> bin is non-decreasing: `register_values` rounds
-    once, each piece breaks[i] + (1/values[i])(u - cdf[i]) of the `two_level`
-    quantile rounds monotone steps and meets the next at 1/4 or 3/4 exactly,
-    then the clamped ceil.  So a prefix whose end registers share a bin has one bin.
-    A prefix is the top bits of window 56, so prefix p's lowest register has
-    the halves hi = p 2^20 and lo = 0, its highest hi = p 2^20 + 2^20 - 1 and
-    lo = 2^32 - 1 (PREFIX_BITS = 12).
+    once, each piece breaks[i] + (1/values[i])(u - cdf[i]) of a step quantile
+    rounds monotone steps, then the clamped ceil.  Where two pieces meet, both
+    give breaks[i] up to rounding: `two_level`'s meet at 1/4 and 3/4 exactly,
+    and the tests probe off-lattice breaks.  So a prefix whose end registers
+    share a bin has one bin.  The Gaussian quantile is not shown to be
+    monotone in floating point, so a marginal that is not a step density is
+    refused.  A prefix is the top bits of window 56, so prefix p's lowest
+    register has the halves hi = p 2^20 and lo = 0, its highest
+    hi = p 2^20 + 2^20 - 1 and lo = 2^32 - 1 (PREFIX_BITS = 12).
     """
+    if marginal.step_representation() is None:
+        raise DomainError(f"the prefix table needs a step marginal, got {marginal}")
     hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
     lo = np.zeros_like(hi)
-    first = bin_index(register_values(kind, hi, lo), m)
-    last = bin_index(register_values(kind, hi | (2**(32 - PREFIX_BITS) - 1), ~lo), m)
+    first = bin_index(register_values(marginal, hi, lo), m)
+    last = bin_index(register_values(marginal, hi | (2**(32 - PREFIX_BITS) - 1), ~lo), m)
     table = np.where(first == last, first, m + 2).astype(np.min_scalar_type(m + 2))
     table.flags.writeable = False
     return table
 
 
 def bin_counts(spec: ProcessSpec, m: int) -> np.ndarray:
-    """The counts in bins 1..m of `bin_index` of generate(spec).values, bit
-    for bit; DomainError for m < 1 before any value is made.  A chain is
-    counted from its register prefixes, making only the values whose prefix
-    `_prefix_bins` leaves open; an lsv trajectory block by block, so its
-    values are never held at once; any other kind from its sample."""
+    """The counts in bins 1..m of `bin_index` of generate(spec), bit for bit;
+    DomainError for m < 1 before any value is made.  An lsv trajectory is
+    counted block by block, so its values are never held at once; a chain
+    with a step marginal from its register prefixes, making only the values
+    whose prefix `_prefix_bins` leaves open; any other chain from its values."""
     if m < 1:
         raise DomainError(f"bin count must be >= 1, got {m}")
-    if spec.kind in REGISTER_KINDS:
+    marginal = spec.marginal
+    if spec.kind is ProcessKind.LSV_TRAJECTORY:
+        counts = np.zeros(m + 2, dtype=np.intp)
+        for block in lsv_blocks(spec):
+            counts += np.bincount(bin_index(block, m), minlength=m + 2)
+    elif marginal.step_representation() is not None:
         w16 = _windows16(spec.n, spec.burn_in, spec.seed)
         top = w16[56 + spec.burn_in:56 + spec.burn_in + spec.n]
-        found = np.take(_prefix_bins(spec.kind, m), top >> (16 - PREFIX_BITS))
+        found = np.take(_prefix_bins(marginal, m), top >> (16 - PREFIX_BITS))
         counts = np.bincount(found, minlength=m + 3)
         if counts[m + 2]:
             i = np.flatnonzero(found == m + 2) + (56 + spec.burn_in)
             hi = (w16[i].astype(np.uint32) << 16) | w16[i - 16]
             lo = (w16[i - 32].astype(np.uint32) << 16) | w16[i - 48]
-            counts[:m + 2] += np.bincount(bin_index(register_values(spec.kind, hi, lo), m),
+            counts[:m + 2] += np.bincount(bin_index(register_values(marginal, hi, lo), m),
                                           minlength=m + 2)
-    elif spec.kind is ProcessKind.LSV_TRAJECTORY:
-        counts = np.zeros(m + 2, dtype=np.intp)
-        for block in lsv_blocks(spec):
-            counts += np.bincount(bin_index(block, m), minlength=m + 2)
     else:
-        counts = np.bincount(bin_index(generate(spec).values, m), minlength=m + 2)
+        counts = np.bincount(bin_index(generate(spec), m), minlength=m + 2)
     return counts[1:m + 1]
 
 
@@ -390,7 +384,7 @@ def lsv_step(x: float, gamma: float) -> float:
 def lsv_blocks(spec: ProcessSpec):
     """The n iterates of the intermittent map `spec` that follow its burn-in,
     (T^{b+1}(y), ..., T^{b+n}(y)) from a uniform start y, as float64 blocks of
-    at most _BLOCK values, each checked for [0, 1] like a `Sample`.
+    at most _BLOCK values, each checked for [0, 1].
 
     The loop inlines the same branch arithmetic as lsv_step, whose images
     stay in [0, 1] in double precision (the bound is in lsv_step), so no
@@ -414,37 +408,35 @@ def lsv_blocks(spec: ProcessSpec):
             buf[k] = x
         if start + size > burn_in:
             block = np.array(buf[max(0, burn_in - start):size])
-            _check_unit(block, spec.kind)
+            # one min/max pair over the block; a NaN fails the comparison
+            if not (0.0 <= block.min() and block.max() <= 1.0):
+                raise DomainError("lsv samples live in [0, 1]")
             yield block
 
 
 def lsv_trajectory(n: int, gamma: float, burn_in: int = DEFAULT_BURN_IN,
-                   seed: int = 0) -> Sample:
+                   seed: int = 0) -> np.ndarray:
     """Iterate the intermittent map from a uniform start: the n iterates of
     `lsv_blocks` after the burn-in, in one array."""
-    spec = ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=n, seed=seed,
-                       burn_in=burn_in, gamma=gamma)
-    out = np.empty(n)
-    filled = 0
-    for block in lsv_blocks(spec):
-        out[filled:filled + len(block)] = block
-        filled += len(block)
-    return Sample(values=out, spec=spec)
+    return generate(ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=n, seed=seed,
+                                burn_in=burn_in, gamma=gamma))
 
 
-def generate(spec: ProcessSpec) -> Sample:
-    """Realize any ProcessSpec as a `Sample` of that spec."""
-    if spec.kind is ProcessKind.AR1_BINARY:
-        return ar1_binary_chain(spec.n, spec.burn_in, spec.seed)
-    if spec.kind is ProcessKind.AR1_GAUSSIAN:
-        u = ar1_binary_chain(spec.n, spec.burn_in, spec.seed).values
+def generate(spec: ProcessSpec) -> np.ndarray:
+    """The n values of `spec`, as a read-only float64 array."""
+    if spec.kind is ProcessKind.LSV_TRAJECTORY:
+        values = np.empty(spec.n)
+        filled = 0
+        for block in lsv_blocks(spec):
+            values[filled:filled + len(block)] = block
+            filled += len(block)
+    elif spec.kind is ProcessKind.AR1_GAUSSIAN:
+        u = register_values(uniform01(), *_chain_registers(spec))
         # registers 0 and >= 2^64 - 2^10 round to 0.0 and 1.0, where the
         # quantile is infinite; every other chain value is left unchanged
         inside = np.clip(u, 2.0**-64, 1.0 - 2.0**-53)
-        return Sample(gaussian_quantile_transform(inside, spec.mu, spec.sigma2), spec)
-    if spec.kind is ProcessKind.AR1_PIECEWISE:
-        u = ar1_binary_chain(spec.n, spec.burn_in, spec.seed).values
-        return Sample(piecewise_quantile_transform(u), spec)
-    if spec.kind is ProcessKind.LSV_TRAJECTORY:
-        return lsv_trajectory(spec.n, spec.gamma, spec.burn_in, spec.seed)
-    raise DomainError(f"unknown process kind {spec.kind!r}")
+        values = gaussian_quantile_transform(inside, spec.mu, spec.sigma2)
+    else:
+        values = register_values(spec.marginal, *_chain_registers(spec))
+    values.flags.writeable = False
+    return values

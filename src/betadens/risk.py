@@ -5,7 +5,7 @@ against a step reference, is computed exactly by merging the two breakpoint
 sets and summing closed-form pieces; everything else goes through panel
 quadrature split at all known breakpoints.  Both default to a domain that
 spans both sides.  An estimate is made from `processes.bin_counts` or the
-sample's values, never from a process kind.  Trial t of a row runs on seed
+generated values, never from a process kind.  Trial t of a row runs on seed
 row_seed XOR t, where a sweep's row_seed is master_seed XOR
 (n 0x9E3779B97F4A7C15 mod 2^64), and trials are reduced in trial order, so
 reports are identical for any worker count.  Nearby master seeds share
@@ -154,12 +154,12 @@ EstimatorSpec = HistogramSpec | KernelEstimatorSpec
 
 def build_estimate(spec: ProcessSpec, config: EstimatorSpec):
     """The estimate `config` of a realization of `spec`: a histogram from the
-    counts of `bin_counts`, a kernel estimate from generate(spec).values."""
+    counts of `bin_counts`, a kernel estimate from the values of generate(spec)."""
     if isinstance(config, HistogramSpec):
         return histogram_from_counts(bin_counts(spec, config.m), spec.n)
     if isinstance(config, KernelEstimatorSpec):
         kernel = kernel_by_name(config.kernel_name)
-        values = generate(spec).values
+        values = generate(spec)
         h = config.bandwidth if config.bandwidth is not None else silverman_bandwidth(values)
         return KernelDensity(values, kernel, h)
     raise DomainError(f"unknown estimator config {config!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .config import ExperimentConfig, validate_config
 from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
-from .processes import ProcessKind, ProcessSpec, gaussian, two_level
+from .processes import ProcessKind, ProcessSpec
 from .risk import (HistogramSpec, KernelEstimatorSpec, build_estimate, loglog_slope,
                    risk_rows, row_seed)
 from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_lsv)
@@ -18,12 +19,11 @@ from .svg import SvgFigure
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path = "out") -> list[Path]:
-    """Validate and execute one experiment, writing into `out_dir`; returns
-    the files written."""
+    """Validate and execute one experiment, writing into `out_dir`, which is
+    made with the first file, so a run that fails before it leaves none;
+    returns the files written."""
     validate_config(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.experiment](config, out)
+    return _RUNNERS[config.experiment](config, Path(out_dir))
 
 
 def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -32,7 +32,7 @@ def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
                        mu=config.mu, sigma2=config.sigma2)
     bandwidth = None if config.bandwidth == "silverman" else float(config.bandwidth)
     estimate = build_estimate(spec, KernelEstimatorSpec(config.kernel, bandwidth))
-    ref = gaussian(config.mu, config.sigma2)
+    ref = spec.marginal
     sigma = math.sqrt(config.sigma2)
     grid = np.linspace(config.mu - 4.0 * sigma, config.mu + 4.0 * sigma,
                        config.grid_points)
@@ -80,7 +80,7 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
                        seed=config.master_seed, burn_in=config.burn_in)
     m = config.m if config.m is not None else histogram_bins_bv(config.n)
     estimate = build_estimate(spec, HistogramSpec(m))
-    reference = two_level()
+    reference = spec.marginal
     breaks, values = reference.step_representation()
     return _histogram_figure(
         out, f"histogram_two_level_n{config.n}", estimate,
@@ -90,11 +90,12 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
 
 
 def _risk_sweep_rows(config: ExperimentConfig):
-    rows = [(ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=n,
-                         seed=row_seed(config.master_seed, n), burn_in=config.burn_in),
+    # every row is this chain at its n, on the row's seed
+    chain = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=1, burn_in=config.burn_in)
+    rows = [(replace(chain, n=n, seed=row_seed(config.master_seed, n)),
              HistogramSpec(m=histogram_bins_bv(n, config.bins_constant)))
             for n in config.n_grid]
-    reports = risk_rows(rows, two_level(), trials=config.trials, p=config.p,
+    reports = risk_rows(rows, chain.marginal, trials=config.trials, p=config.p,
                         workers=config.threads)
     return [(r.n, estimator.m, r.mean_risk, r.std_error)
             for r, (_, estimator) in zip(reports, rows)]

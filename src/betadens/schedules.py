@@ -12,22 +12,16 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class RateRegime:
-    """Parameters entering the schedule exponents."""
+    """Parameters entering the bandwidth exponent."""
 
-    p: float = 1.0          # risk exponent
     s: float = 1.0          # smoothness
     delta: float = 0.0      # dependence discount
-    gamma: float | None = None
 
     def __post_init__(self):
-        if not 1.0 <= self.p < math.inf:
-            raise DomainError(f"risk exponent must be >= 1 and finite, got {self.p}")
         if not 0.0 < self.s < math.inf:
             raise DomainError(f"smoothness must be finite and > 0, got {self.s}")
         if not 0.0 <= self.delta < 1.0:
             raise DomainError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise DomainError(f"gamma must lie in (0, 1), got {self.gamma}")
 
 
 def kernel_bandwidth(n: int, regime: RateRegime, constant: float = 1.0) -> float:

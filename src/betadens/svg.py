@@ -116,6 +116,8 @@ class SvgFigure:
         )
 
     def save(self, path) -> Path:
+        """Write the figure, making its directory if need be."""
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.render(), encoding="utf-8")
         return path

@@ -210,7 +210,7 @@ def test_criterion_7_lsv_envelope():
     lo_all, hi_all = math.inf, -math.inf
     for seed in range(10):
         trajectory = bd.lsv_trajectory(60000, 0.25, seed=1000 + seed)
-        estimate = bd.histogram_estimate(trajectory.values, 81)
+        estimate = bd.histogram_estimate(trajectory, 81)
         lo, hi = bd.envelope_check(estimate, 0.25, skip_bins=1)
         lo_all, hi_all = min(lo_all, lo), max(hi_all, hi)
     ok = 0.1 < lo_all and hi_all < 10.0
@@ -245,7 +245,7 @@ def test_criterion_8_schedule_arithmetic():
 def test_criterion_9_variance_scaling():
     master = 777
     reference_values = bd.generate(bd.ProcessSpec(
-        bd.ProcessKind.AR1_PIECEWISE, n=10**6, seed=master ^ 0xABCDEF)).values
+        bd.ProcessKind.AR1_PIECEWISE, n=10**6, seed=master ^ 0xABCDEF))
     mean_hist = bd.histogram_estimate(reference_values, 8)
     reference = bd.step_density(mean_hist.breakpoints(), mean_hist.bin_values())
     process = bd.ProcessSpec(bd.ProcessKind.AR1_PIECEWISE, n=4096, seed=0)

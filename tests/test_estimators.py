@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelDensity,
                       KernelSpec, PiecewisePolyDensity, ProcessKind, ProcessSpec,
-                      UnsupportedDegree, build_poly_basis, estimate_mass, generate,
-                      histogram_estimate, projection_estimate, silverman_bandwidth)
+                      UnsupportedDegree, build_poly_basis, estimate_mass, gaussian, generate,
+                      histogram_estimate, projection_estimate, silverman_bandwidth,
+                      step_density, two_level, uniform01)
 from betadens.estimators import _GATHER_ELEMENTS
-from betadens.processes import PREFIX_BITS, REGISTER_KINDS, _prefix_bins, lsv_blocks
+from betadens.processes import PREFIX_BITS, _prefix_bins, lsv_blocks
 from test_processes import two_level_quantile_oracle
 
 
@@ -228,13 +229,23 @@ def _projection_oracle(values, m, basis):
 
 _PREFIX_SHIFT = 64 - PREFIX_BITS
 
+# the step marginals that the prefix table serves: the two shipped ones, and
+# two whose pieces meet off the dyadic lattice, at rounded CDF values
+MARGINALS = {
+    "uniform01": uniform01(),
+    "two_level": two_level(),
+    "breaks_0.3_0.7": step_density((0.0, 0.3, 0.7, 1.0), (0.5, 1.75, 0.5)),
+    "thirds": step_density((0.0, 1 / 3, 2 / 3, 1.0), (0.6, 1.8, 0.6)),
+}
+by_marginal = pytest.mark.parametrize("marginal", MARGINALS.values(), ids=MARGINALS.keys())
 
-def _pipeline_bins(kind, registers, m):
-    # the bin a sample of `kind` puts each uint64 register in: the value
-    # float(R) 2^-64, its quantile, then the clamped ceil of x m
+
+def _pipeline_bins(marginal, registers, m):
+    # the bin a chain with `marginal` puts each uint64 register in: the value
+    # float(R) 2^-64, its quantile (written out for two_level), then the
+    # clamped ceil of x m
     x = np.asarray(registers, dtype=np.uint64).astype(np.float64) * 2.0**-64
-    if kind is ProcessKind.AR1_PIECEWISE:
-        x = two_level_quantile_oracle(x)
+    x = two_level_quantile_oracle(x) if marginal is two_level() else marginal.quantile(x)
     return np.clip(np.ceil(x * m), 0, m + 1).astype(np.int64)
 
 
@@ -243,54 +254,62 @@ def _prefix_ends(prefixes):
     return low, low | np.uint64(2**_PREFIX_SHIFT - 1)
 
 
-def _bin_edge_registers(kind, m):
+def _bin_edge_registers(marginal, m):
     # the first register of every bin that starts inside a prefix, found by
     # bisection on the pipeline, with its neighbours
-    table = _prefix_bins(kind, m)
+    table = _prefix_bins(marginal, m)
     low, high = _prefix_ends(np.flatnonzero(table == m + 2))
-    low_bin = _pipeline_bins(kind, low, m)
+    low_bin = _pipeline_bins(marginal, low, m)
     for _ in range(_PREFIX_SHIFT):
         mid = low + (high - low) // np.uint64(2)
-        same = _pipeline_bins(kind, mid, m) == low_bin
+        same = _pipeline_bins(marginal, mid, m) == low_bin
         low = np.where(same, mid, low)
         high = np.where(same, high, mid)
     # `high` is now the first register past the bin of the prefix's lowest one
-    assert np.all(_pipeline_bins(kind, high, m) > low_bin)
+    assert np.all(_pipeline_bins(marginal, high, m) > low_bin)
     return np.concatenate([low, high, high + np.uint64(1)])
+
+
+def _kink_registers(marginal, ulps=200):
+    # the registers of the values within `ulps` ulps of every CDF break, where
+    # the quantile passes from one piece to the next, with their neighbours
+    breaks, values = marginal.step_representation()
+    kinks = np.cumsum(np.diff(breaks) * values)[:-1]
+    near = (kinks.view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)).view(np.float64)
+    registers = (near.ravel() * 2.0**64).astype(np.uint64)
+    return np.concatenate([registers - np.uint64(1), registers, registers + np.uint64(1)])
 
 
 class TestChainHistogram:
     MS = tuple(range(1, 65)) + (253, 254, 255, 256, 1000, 5000)
 
-    @pytest.mark.parametrize("kind", REGISTER_KINDS)
-    def test_table_entries_are_the_pipeline_bins_at_both_prefix_ends(self, kind):
+    @by_marginal
+    def test_table_entries_are_the_pipeline_bins_at_both_prefix_ends(self, marginal):
         low, high = _prefix_ends(np.arange(2**PREFIX_BITS))
         for m in self.MS:
-            table = _prefix_bins(kind, m)
+            table = _prefix_bins(marginal, m)
             assert len(table) == 2**PREFIX_BITS and not table.flags.writeable
-            first, last = _pipeline_bins(kind, low, m), _pipeline_bins(kind, high, m)
+            first, last = _pipeline_bins(marginal, low, m), _pipeline_bins(marginal, high, m)
             # int64 comparison: an entry wrapped by a narrow dtype would differ
             want = np.where(first == last, first, m + 2)
             assert np.array_equal(table.astype(np.int64), want), m
 
-    @pytest.mark.parametrize("kind", REGISTER_KINDS)
-    def test_bins_never_decrease_with_the_register(self, kind):
+    @by_marginal
+    def test_bins_never_decrease_with_the_register(self, marginal):
         rng = np.random.default_rng(1234)
-        kinks = np.array([2**61, 7 * 2**61], dtype=np.uint64)   # u = 1/8 and 7/8
         for m in (1, 2, 3, 4, 7, 17, 47, 253, 254, 1000, 5000):
             registers = np.sort(np.concatenate([
                 rng.integers(0, 2**64 - 1, size=20000, dtype=np.uint64, endpoint=True),
                 np.array([0, 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
-                kinks - np.uint64(1), kinks, kinks + np.uint64(1),
-                _bin_edge_registers(kind, m)]))
-            assert np.all(np.diff(_pipeline_bins(kind, registers, m)) >= 0), m
+                _kink_registers(marginal), _bin_edge_registers(marginal, m)]))
+            assert np.all(np.diff(_pipeline_bins(marginal, registers, m)) >= 0), m
 
-    def test_refuses_processes_without_registers(self):
-        # the prefix table reads values off registers, which an lsv map has none of
-        with pytest.raises(DomainError, match="chain registers"):
-            _prefix_bins(ProcessKind.LSV_TRAJECTORY, 4)
+    def test_refuses_a_marginal_that_is_not_a_step(self):
+        # the Gaussian quantile is not shown to be monotone in floating point
+        with pytest.raises(DomainError, match="needs a step marginal"):
+            _prefix_bins(gaussian(0.5, 0.01), 4)
 
-    @pytest.mark.parametrize("kind", REGISTER_KINDS)
+    @pytest.mark.parametrize("kind", [ProcessKind.AR1_BINARY, ProcessKind.AR1_PIECEWISE])
     def test_lsv_count_refuses_other_processes(self, kind):
         # the blocks that bin_counts counts an lsv trajectory from
         with pytest.raises(DomainError, match="not an lsv trajectory"):
@@ -302,7 +321,7 @@ class TestProjection:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_counts_equal_weighted_oracle(self, degree):
         basis = build_poly_basis(degree)
-        chain = generate(ProcessSpec(ProcessKind.AR1_PIECEWISE, n=20000, seed=4)).values
+        chain = generate(ProcessSpec(ProcessKind.AR1_PIECEWISE, n=20000, seed=4))
         samples = ([0.0, 1.0, 0.5, 1.0, 0.25, 0.0],    # the bin edges 0 and 1
                    [-0.3, 1.7, 0.4, 2.0, 0.999, 1.0],   # values outside (0, 1]
                    [-1.0, 0.0, 1.5],                    # no inside values

@@ -22,5 +22,5 @@ def test_criterion1_trial_values_run():
     values = protocols.trial_values(n, m, seed, bd.DEFAULT_BURN_IN)
     assert all(math.isfinite(v) for v in values.values()), values
     spec = bd.ProcessSpec(bd.ProcessKind.AR1_PIECEWISE, n=n, seed=seed)
-    histogram = bd.histogram_estimate(bd.generate(spec).values, m)
+    histogram = bd.histogram_estimate(bd.generate(spec), m)
     assert values["exact breaks (package)"] == bd.lp_distance(histogram, bd.two_level())

@@ -1,15 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from betadens import (DomainError, ProcessKind, ProcessSpec, Sample,
-                      ar1_binary_chain, ar1_step, gaussian_quantile_transform,
-                      generate, lsv_step, lsv_trajectory, piecewise_quantile_transform,
-                      two_level)
+from betadens import (DomainError, ProcessKind, ProcessSpec, ar1_binary_chain, ar1_step,
+                      gaussian, gaussian_quantile_transform, generate, lsv_step,
+                      lsv_trajectory, piecewise_quantile_transform, two_level, uniform01)
 from betadens import processes
 from betadens.processes import _BLOCK, PREFIX_BITS, _rng, register_values
 
@@ -54,12 +52,12 @@ class TestAr1Chain:
         # is used by its low half only, or in full
         for n in (1, 63, 64, 65, 2000, 8191, 8192, 8193):
             for burn_in in (0, 1, 63, 1000):
-                got = ar1_binary_chain(n, burn_in=burn_in, seed=seed).values
+                got = ar1_binary_chain(n, burn_in=burn_in, seed=seed)
                 want = _chain_oracle(n, burn_in, seed)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
                     (n, burn_in)
         # the size of a sweep trial
-        got = ar1_binary_chain(110_000, burn_in=1000, seed=seed).values
+        got = ar1_binary_chain(110_000, burn_in=1000, seed=seed)
         assert np.array_equal(got.view(np.uint64),
                               _chain_oracle(110_000, 1000, seed).view(np.uint64))
 
@@ -74,8 +72,8 @@ class TestAr1Chain:
         hi = np.array([reg >> 32], dtype=np.uint32)
         lo = np.array([reg & 0xFFFFFFFF], dtype=np.uint32)
         value = float(reg) * 2**-64
-        binary = register_values(ProcessKind.AR1_BINARY, hi, lo)
-        piecewise = register_values(ProcessKind.AR1_PIECEWISE, hi, lo)
+        binary = register_values(uniform01(), hi, lo)
+        piecewise = register_values(two_level(), hi, lo)
         assert float(binary[0]).hex() == value.hex()
         assert float(piecewise[0]).hex() == float(two_level_quantile_oracle(value)).hex()
         # and so does the uint64 conversion that the oracle uses
@@ -88,18 +86,18 @@ class TestAr1Chain:
 
     def test_values_in_unit_interval(self):
         s = ar1_binary_chain(5000, seed=1)
-        assert s.values.min() >= 0.0 and s.values.max() <= 1.0
+        assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_length_and_spec(self):
         s = ar1_binary_chain(321, burn_in=10, seed=9)
         assert len(s) == 321
-        assert s.spec == ProcessSpec(ProcessKind.AR1_BINARY, n=321, seed=9, burn_in=10)
+        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=321, seed=9, burn_in=10)
+        assert s.tobytes() == generate(spec).tobytes()
 
     def test_trajectory_follows_recursion(self):
         # consecutive values must be related by X' = (X + eps)/2 for a bit
         # eps in {0, 1}, up to the 2^-64 fixed-point resolution
-        s = ar1_binary_chain(2000, seed=5)
-        x = s.values
+        x = ar1_binary_chain(2000, seed=5)
         eps = (2.0 * x[1:] - x[:-1]).round()
         assert set(np.unique(eps)) <= {0.0, 1.0}
         assert np.max(np.abs(2.0 * x[1:] - x[:-1] - eps)) < 1e-15
@@ -107,13 +105,13 @@ class TestAr1Chain:
     def test_deterministic_given_seed(self):
         a = ar1_binary_chain(1000, seed=77)
         b = ar1_binary_chain(1000, seed=77)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, ar1_binary_chain(1000, seed=78).values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, ar1_binary_chain(1000, seed=78))
 
     def test_marginal_is_uniform(self):
         # invariance of Uniform[0,1] under the kernel, checked empirically
         s = ar1_binary_chain(10**6, seed=2024)
-        assert _ks_uniform(s.values) < 0.005
+        assert _ks_uniform(s) < 0.005
 
     def test_stationarity_over_windows(self):
         n = 2 * 10**5
@@ -121,7 +119,7 @@ class TestAr1Chain:
         half = n // 2
         tol = 3.0 / math.sqrt(half)
         for start in (0, n // 4, half):
-            assert _ks_uniform(s.values[start:start + half]) < tol
+            assert _ks_uniform(s[start:start + half]) < tol
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -152,7 +150,7 @@ class TestTransforms:
             return 0.0
 
         monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
-        s = ar1_binary_chain(1000, seed=2).values
+        s = ar1_binary_chain(1000, seed=2)
         for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
                            (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
             with pytest.raises(DomainError, match="need a finite mu and sigma2"):
@@ -162,14 +160,14 @@ class TestTransforms:
         assert len(calls) == 1000
 
     def test_gaussian_run_survives_rounded_registers(self, monkeypatch):
-        # registers 0 and >= 2^64 - 2^10 convert to exactly 0.0 and 1.0
-        def chain(n, burn_in, seed):
-            spec = ProcessSpec(ProcessKind.AR1_BINARY, n=n, seed=seed, burn_in=burn_in)
-            return Sample(values=np.array([0.0, 0.5, 1.0]), spec=spec)
+        # registers 0 and 2^64 - 1 convert to exactly 0.0 and 1.0
+        def registers(spec):
+            return (np.array([0, 2**31, 2**32 - 1], dtype=np.uint32),
+                    np.array([0, 0, 2**32 - 1], dtype=np.uint32))
 
-        monkeypatch.setattr(processes, "ar1_binary_chain", chain)
+        monkeypatch.setattr(processes, "_chain_registers", registers)
         spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=3, seed=0, mu=10.0, sigma2=2.0)
-        y = generate(spec).values
+        y = generate(spec)
         assert np.all(np.isfinite(y))
         assert y[0] < y[1] == 10.0 < y[2]
 
@@ -204,12 +202,11 @@ class TestTransforms:
         # builds them
         hi = np.arange(2**PREFIX_BITS, dtype=np.uint32) << (32 - PREFIX_BITS)
         lo = np.zeros_like(hi)
-        prefix_ends = [register_values(ProcessKind.AR1_BINARY, hi, lo),
-                       register_values(ProcessKind.AR1_BINARY,
-                                       hi | (2**(32 - PREFIX_BITS) - 1), ~lo)]
+        prefix_ends = [register_values(uniform01(), hi, lo),
+                       register_values(uniform01(), hi | (2**(32 - PREFIX_BITS) - 1), ~lo)]
         for u in [np.array(edges),
                   np.random.Generator(np.random.Philox(key=3)).random(10**6),
-                  ar1_binary_chain(200_000, seed=105).values] + prefix_ends:
+                  ar1_binary_chain(200_000, seed=105)] + prefix_ends:
             got = two_level().quantile(u)
             assert np.array_equal(got.view(np.uint64),
                                   two_level_quantile_oracle(u).view(np.uint64))
@@ -231,7 +228,7 @@ class TestTransforms:
         specials = [0.0, 5e-324, 1.0]
         for edge in (0.125, 0.875):
             specials += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-        samples = [ar1_binary_chain(n, seed=n).values
+        samples = [ar1_binary_chain(n, seed=n)
                    for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)]
         # the special values once on their own and once amid chain values
         across = samples[-1].copy()
@@ -257,17 +254,6 @@ class TestTransforms:
                           lambda v: gaussian_quantile_transform(v, 0.0, 1.0)):
             with pytest.raises(DomainError, match="nonempty 1-D array, got shape"):
                 transform(values)
-
-    def test_generate_labels_its_sample_with_the_given_spec(self):
-        for spec in (ProcessSpec(ProcessKind.AR1_BINARY, n=50, seed=3),
-                     ProcessSpec(ProcessKind.AR1_PIECEWISE, n=50, seed=3),
-                     ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=50, seed=3, mu=1.0, sigma2=4.0),
-                     ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=50, seed=3, gamma=0.5)):
-            assert generate(spec).spec == spec
-
-    def test_generate_refuses_an_unknown_kind(self):
-        with pytest.raises(DomainError, match="unknown process kind 'ar2'"):
-            generate(ProcessSpec("ar2", n=5))
 
 
 class TestLsvMap:
@@ -306,7 +292,7 @@ class TestLsvMap:
         seed = 99
         s = lsv_trajectory(1, 0.3, burn_in=0, seed=seed)
         y0 = np.random.Generator(np.random.Philox(key=seed)).random()
-        assert s.values[0] == lsv_step(y0, 0.3)
+        assert s[0] == lsv_step(y0, 0.3)
 
     def test_trajectory_equals_folded_steps(self):
         # the last pairs put the end of the burn-in and the end of the
@@ -321,11 +307,11 @@ class TestLsvMap:
             for _ in range(burn_in + n):
                 x = lsv_step(x, gamma)
                 manual.append(x)
-            assert np.array_equal(s.values, np.array(manual[burn_in:])), (n, burn_in)
+            assert np.array_equal(s, np.array(manual[burn_in:])), (n, burn_in)
 
     def test_values_in_unit_interval(self):
         s = lsv_trajectory(5000, 0.75, seed=8)
-        assert s.values.min() >= 0.0 and s.values.max() <= 1.0
+        assert s.min() >= 0.0 and s.max() <= 1.0
 
     def test_long_sojourns_near_zero_for_large_gamma(self):
         # the neutral fixed point holds trajectories much longer at gamma=3/4
@@ -333,13 +319,13 @@ class TestLsvMap:
         frac = {}
         for gamma in (0.25, 0.75):
             s = lsv_trajectory(n, gamma, seed=314)
-            frac[gamma] = float(np.mean(s.values <= 0.05))
+            frac[gamma] = float(np.mean(s <= 0.05))
         assert frac[0.75] > frac[0.25]
 
     def test_deterministic(self):
         a = lsv_trajectory(500, 0.5, seed=6)
         b = lsv_trajectory(500, 0.5, seed=6)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 class TestSpecValidation:
@@ -350,11 +336,12 @@ class TestSpecValidation:
                             (ProcessKind.LSV_TRAJECTORY, {"gamma": 0.5})):
             spec = ProcessSpec(kind=kind, n=64, seed=5, burn_in=16, **extra)
             s = generate(spec)
-            assert len(s) == 64 and s.spec == spec
+            assert type(s) is np.ndarray and s.dtype == np.float64 and s.shape == (64,)
+            assert not s.flags.writeable
 
     def test_generate_is_deterministic(self):
         spec = ProcessSpec(ProcessKind.AR1_PIECEWISE, n=256, seed=11)
-        assert np.array_equal(generate(spec).values, generate(spec).values)
+        assert np.array_equal(generate(spec), generate(spec))
 
     def test_gamma_only_for_lsv(self):
         with pytest.raises(DomainError):
@@ -375,40 +362,18 @@ class TestSpecValidation:
     def test_sample_is_immutable(self):
         s = ar1_binary_chain(10, seed=0)
         with pytest.raises(ValueError):
-            s.values[0] = 0.5
+            s[0] = 0.5
 
-    def test_sample_freezes_a_copy(self):
-        a = np.full(4, 0.5)
-        s = Sample(a, ProcessSpec(ProcessKind.AR1_BINARY, n=4))
-        assert a.flags.writeable and not s.values.flags.writeable
-        a[0] = 0.25
-        assert s.values.tolist() == [0.5] * 4
+    def test_spec_refuses_an_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown process kind 'ar2'"):
+            ProcessSpec("ar2", n=5)
 
-    def test_sample_length_must_match_spec(self):
-        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=3, seed=0)
-        with pytest.raises(DomainError):
-            Sample(values=np.array([0.1, 0.2]), spec=spec)
-
-    def test_unit_interval_kinds_enforce_range(self):
-        spec = ProcessSpec(ProcessKind.AR1_BINARY, n=2, seed=0)
-        with pytest.raises(DomainError):
-            Sample(values=np.array([0.5, 1.2]), spec=spec)
-        lsv = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=1, seed=0, gamma=0.5)
-        with pytest.raises(DomainError):
-            Sample(values=np.array([-0.1]), spec=lsv)
-
-    @pytest.mark.parametrize("kind, gamma", [(ProcessKind.AR1_BINARY, None),
-                                             (ProcessKind.AR1_PIECEWISE, None),
-                                             (ProcessKind.LSV_TRAJECTORY, 0.5)])
-    @pytest.mark.parametrize("position", [0, -1, _BLOCK + 3])
-    def test_unit_interval_kinds_reject_nan(self, kind, gamma, position):
-        values = np.full(2 * _BLOCK, 0.5)
-        values[position] = math.nan
-        spec = ProcessSpec(kind, n=len(values), seed=0, gamma=gamma)
-        with pytest.raises(DomainError, match=r"samples live in \[0, 1\]"):
-            Sample(values=values, spec=spec)
-        with pytest.raises(DomainError, match=r"samples live in \[0, 1\]"):
-            Sample(values=[math.nan, 0.5], spec=replace(spec, n=2))
+    def test_marginal_is_derived_from_the_kind(self):
+        assert ProcessSpec(ProcessKind.AR1_BINARY, n=2).marginal is uniform01()
+        assert ProcessSpec(ProcessKind.AR1_PIECEWISE, n=2).marginal is two_level()
+        spec = ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=2, mu=1.0, sigma2=4.0)
+        assert spec.marginal == gaussian(1.0, 4.0)
+        assert ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=2, gamma=0.5).marginal is None
 
     def test_gamma_must_lie_inside_the_unit_interval(self):
         for gamma in (0.0, 1.0, -0.5, 1.5, math.nan):

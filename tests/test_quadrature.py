@@ -51,7 +51,7 @@ class _Counted:
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernel_minus_gaussian_matches_oracle(kernel, p):
     y = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
-                             mu=10.0, sigma2=2.0)).values
+                             mu=10.0, sigma2=2.0))
     est = KernelDensity(y, KERNELS[kernel], silverman_bandwidth(y))
     ref = gaussian(10.0, 2.0)
     lo, hi = ref.support
@@ -81,7 +81,7 @@ def test_stacked_matmul_is_the_per_panel_dot():
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_batch_size_does_not_change_a_bit(kernel, monkeypatch):
     y = generate(ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=300, seed=7,
-                             mu=10.0, sigma2=2.0)).values
+                             mu=10.0, sigma2=2.0))
     est = KernelDensity(y, KERNELS[kernel], silverman_bandwidth(y))
     ref = gaussian(10.0, 2.0)
     edges = np.unique(np.concatenate([ref.support, est.breakpoints()]))

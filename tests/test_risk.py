@@ -24,7 +24,7 @@ from betadens import (EPANECHNIKOV, BetadensError, DomainError, EmptyEstimate,
 from betadens import build_estimate, generate, lsv_trajectory
 from betadens.config import load_config
 from betadens import processes, risk
-from betadens.processes import _BLOCK, REGISTER_KINDS
+from betadens.processes import _BLOCK
 from betadens.risk import _MAX_QUAD_PANELS, _trial_risk
 from test_acceptance import REFERENCE_TABLE
 from test_runner import CONFIG_DIR, ROOT, count_pools
@@ -585,7 +585,8 @@ class TestMonteCarlo:
 class TestBuildEstimate:
     @settings(max_examples=120, deadline=None)
     @given(process=st.sampled_from([
-               *((kind, {}) for kind in REGISTER_KINDS),
+               # counted from the prefix table
+               (ProcessKind.AR1_BINARY, {}), (ProcessKind.AR1_PIECEWISE, {}),
                # counted from generate: mostly inside (0, 1], and all dropped
                (ProcessKind.AR1_GAUSSIAN, dict(mu=0.5, sigma2=0.04)),
                (ProcessKind.AR1_GAUSSIAN, dict(mu=10.0, sigma2=2.0))]),
@@ -601,10 +602,10 @@ class TestBuildEstimate:
         kind, marginal = process
         # the generate route has no prefixes or blocks that a long sample
         # could reach, and its scalar Gaussian quantile takes 0.4 s at 110,000
-        assume(kind in REGISTER_KINDS or n < 110_000)
+        assume(kind is not ProcessKind.AR1_GAUSSIAN or n < 110_000)
         spec = ProcessSpec(kind, n=n, seed=seed, burn_in=burn_in, **marginal)
         got = build_estimate(spec, HistogramSpec(m=m))
-        want = histogram_estimate(generate(spec).values, m)
+        want = histogram_estimate(generate(spec), m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -623,7 +624,7 @@ class TestBuildEstimate:
         spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=n, seed=seed, burn_in=burn_in,
                            gamma=gamma)
         got = build_estimate(spec, HistogramSpec(m=m))
-        want = histogram_estimate(lsv_trajectory(n, gamma, burn_in, seed).values, m)
+        want = histogram_estimate(lsv_trajectory(n, gamma, burn_in, seed), m)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_lsv_start_state_nan_is_refused(self, monkeypatch):

@@ -304,14 +304,22 @@ class TestCli:
 
     def test_overflowing_bin_count_is_reported(self, tmp_path, capsys):
         # a finite bins_constant whose product with n^(1/3) is not: the BV
-        # schedule refuses it when the sweep builds its rows, with one error line
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text("experiment = risk-table-sweep\nn_grid = 1000\ntrials = 2\n"
-                       "bins_constant = 1e308\n")
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "bin count C n^(1/3) overflows" in err
-        assert len(err.splitlines()) == 1
+        # schedule refuses it when the sweep builds its rows, and a kernel
+        # figure of one point has no bandwidth; each exits with one error
+        # line and makes no output directory
+        for name, text, named in (
+                ("huge", "experiment = risk-table-sweep\nn_grid = 1000\ntrials = 2\n"
+                         "bins_constant = 1e308\n", "bin count C n^(1/3) overflows"),
+                ("single", "experiment = kernel-gaussian-figure\nn = 1\nmu = 0\nsigma2 = 1\n",
+                 "bandwidth rule needs at least two points")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"out-{name}"
+            assert main(["run", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("values, named", [
         (dict(experiment="histogram-two-level-figure", n=0), "n must be >= 1"),

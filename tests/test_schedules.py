@@ -40,22 +40,15 @@ class TestKernelBandwidth:
 
     def test_regime_validation(self):
         with pytest.raises(DomainError):
-            RateRegime(p=0.5)
-        with pytest.raises(DomainError):
             RateRegime(s=0.0)
         with pytest.raises(DomainError):
             RateRegime(delta=1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError):
-                RateRegime(p=bad)
-            with pytest.raises(DomainError):
                 RateRegime(s=bad)
         for constant in (math.nan, -1.0, 0.0, math.inf):
             with pytest.raises(DomainError):
                 kernel_bandwidth(100, RateRegime(), constant)
-        for gamma in (0.0, 1.0, math.nan):
-            with pytest.raises(DomainError, match=r"gamma must lie in \(0, 1\)"):
-                RateRegime(gamma=gamma)
         for n in (0, -3):
             with pytest.raises(DomainError, match="n must be >= 1"):
                 kernel_bandwidth(n, RateRegime())
