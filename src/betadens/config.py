@@ -149,6 +149,9 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.n is not None and config.n < 1:
         raise ConfigError(f"n must be >= 1, got {config.n}")
     if config.n_grid is not None:
+        if not config.n_grid:
+            # a sweep over no n would write a table of its header alone
+            raise ConfigError("n_grid must have at least one entry, got ()")
         if any(n < 1 for n in config.n_grid):
             raise ConfigError(f"n_grid entries must be >= 1, got {config.n_grid}")
         if len(set(config.n_grid)) < len(config.n_grid):

@@ -5,7 +5,10 @@ points (x0 + j) / 2^k.  The conditional CDF is therefore a staircase whose
 deviation from the uniform CDF is constant across jumps, which gives the
 one-index coefficient in closed form and certifies the geometric bound
 b_0(k) <= 2^-k.  The two-index coefficient has no closed form; a grid lower
-bound documents its size without claiming exactness.
+bound documents its size without claiming exactness.  Its pair sums over the
+2^i paths are counted, not multiplied: a sum of products of centred
+indicators is a joint count minus two marginal counts plus a constant, and
+on a power-of-two grid every one of those terms is exact in float64.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .quadrature import gauss_legendre
 
 MAX_ENUM_K = 24      # full atom enumeration: 2^24 atoms
 MAX_CLOSED_K = 40    # closed-form staircase deviation only
-MAX_PAIR_I = 16      # pair bounds enumerate 2^i paths per x0 node
+MAX_PAIR_I = 16      # pair bounds count 2^i paths per x0 node: O(2^i + grid^2) memory
 
 
 def _check_args(x0: float, k: int, limit: int) -> None:
@@ -77,18 +80,35 @@ def beta1_estimate(k: int) -> float:
 
 def _pair_sum(x0: float, i: int, j: int, grid: int) -> np.ndarray:
     """Sum over the 2^i innovation paths from X_0 = x0 of
-    (1{X_i <= t} - t)(1{X_j <= s} - s) on the grid x grid midpoint lattice.
+    (1{X_i <= t} - t)(1{X_j <= s} - s) on the grid x grid midpoint lattice,
+    rows t and columns s.
 
-    X_j reuses the first j bits of X_i's path.
+    X_j reuses the first j bits of X_i's path.  With C(t, s) the number of
+    paths with X_i <= t and X_j <= s, the sum is the count identity
+
+        C(t, s) - s C(t, 1) - t C(1, s) + 2^i t s
+          = C(t, s) + (2^i t - C(t, 1)) s - t C(1, s).
+
+    C is one bincount of the cells (grid index of X_i, grid index of X_j),
+    each index the first grid point at or above the value, summed
+    cumulatively along both axes: O(2^i log grid + grid^2) time and
+    O(2^i + grid^2) memory.  On a power-of-two grid of at most 2^16 points
+    every grid point is a multiple of grid^-1 / 2, so every term and partial
+    sum is a multiple of grid^-2 / 4 below 2^(i+2) and fits in 53 bits: the
+    sum is exact, and equals the product of the two (grid, 2^i) indicator
+    matrices bit for bit, since that product is exact in any summation
+    order too.  On other grids the two agree to rounding.
     """
     paths = np.arange(2**i, dtype=float)
     x_i = (x0 + paths) * 2.0**-i
     x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
     s = (np.arange(grid) + 0.5) / grid
     t = s
-    a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
-    b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
-    return a @ b.T
+    cells = np.searchsorted(t, x_i) * (grid + 1) + np.searchsorted(s, x_j)
+    counts = np.bincount(cells, minlength=(grid + 1)**2).reshape(grid + 1, grid + 1)
+    c = counts.cumsum(axis=0).cumsum(axis=1)
+    return (c[:grid, :grid] + (2.0**i * t - c[:grid, grid])[:, None] * s
+            - t[:, None] * c[grid, :grid])
 
 
 def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
@@ -96,10 +116,13 @@ def beta2_pair_lower_bound(i: int, j: int, grid: int = 256,
     """Grid LOWER bound of E(b_0(i, j)) for X_0 ~ U[0, 1].
 
     At each of x0_nodes Gauss-Legendre nodes x0, enumerates the 2^i
-    innovation paths (X_j reuses the first j bits); the unconditional
-    functional is the weighted sum of those conditionals.  The supremum over
-    (s, t) is only sampled on a grid x grid lattice, so the value is a lower
-    bound, not the coefficient itself.
+    innovation paths (X_j reuses the first j bits) and counts their pair
+    sums on the grid (see `_pair_sum`: one bincount and two cumulative sums
+    per node, exact on a power-of-two grid); the unconditional functional is
+    the weighted sum of those conditionals.  The supremum over (s, t) is
+    only sampled on a grid x grid lattice, so the value is a lower bound,
+    not the coefficient itself.  At the cap, i = 16 on a 256 grid with 3
+    nodes, it takes about 0.02 s and a few MB.
     """
     if not i > j >= 1:
         raise DomainError(f"need i > j >= 1, got ({i}, {j})")

@@ -1,9 +1,52 @@
+import ast
+import inspect
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from betadens import (CapacityError, DomainError, b0_exact, b0_staircase_scan,
                       beta1_estimate, beta2_pair_lower_bound, conditional_atoms,
-                      two_level)
+                      depcoeff, two_level)
+from betadens.quadrature import gauss_legendre
+
+
+def _pair_sum_oracle(x0, i, j, grid):
+    """The pair sum as the product of the two centred indicator matrices,
+    one row per grid point and one column per path."""
+    paths = np.arange(2**i, dtype=float)
+    x_i = (x0 + paths) * 2.0**-i
+    x_j = (x0 + np.mod(paths, 2**j)) * 2.0**-j
+    s = (np.arange(grid) + 0.5) / grid
+    t = s
+    a = (x_i[None, :] <= t[:, None]).astype(float) - t[:, None]
+    b = (x_j[None, :] <= s[:, None]).astype(float) - s[:, None]
+    return a @ b.T
+
+
+def _pair_sum_fraction(x0, i, j, grid):
+    """The pair sum in exact rational arithmetic, path by path."""
+    x0 = Fraction(x0)
+    points = [Fraction(2 * k + 1, 2 * grid) for k in range(grid)]
+    total = [[Fraction(0)] * grid for _ in points]
+    for p in range(2**i):
+        x_i = (x0 + p) / 2**i
+        x_j = (x0 + p % 2**j) / 2**j
+        for row, t in enumerate(points):
+            a = (x_i <= t) - t
+            for col, s in enumerate(points):
+                total[row][col] += a * ((x_j <= s) - s)
+    return total
+
+
+def _cases():
+    # x0 at the 3-, 9- and 17-node Gauss points; j at both ends and the middle
+    for nodes in (3, 9, 17):
+        u, _ = gauss_legendre(nodes)
+        for x0 in 0.5 * (u + 1.0):
+            for i in range(2, 13):
+                for j in sorted({1, i // 2, i - 1}):
+                    yield float(x0), i, j
 
 
 class TestConditionalAtoms:
@@ -112,6 +155,63 @@ class TestPairLowerBounds:
         for i, j in ((2, 2), (1, 2), (3, 0)):
             with pytest.raises(DomainError):
                 beta2_pair_lower_bound(i, j, grid=8, x0_nodes=3)
+
+    @pytest.mark.parametrize("grid", [8, 64, 128, 256])
+    def test_counted_pair_sum_equals_the_product_bit_for_bit(self, grid):
+        # on a power-of-two grid every term is a multiple of grid^-2 / 4, so
+        # both routes are exact and must agree in every bit
+        for x0, i, j in _cases():
+            counted = depcoeff._pair_sum(x0, i, j, grid)
+            product = _pair_sum_oracle(x0, i, j, grid)
+            assert counted.dtype == np.float64 and counted.shape == (grid, grid)
+            assert np.array_equal(counted.view(np.uint64), product.view(np.uint64)), \
+                (x0, i, j, grid)
+
+    @pytest.mark.parametrize("x0, i, j, grid", [
+        (0.375, 4, 2, 8),
+        (0.0, 4, 2, 8),          # every odd path lands on a grid point
+        (0.0, 4, 2, 2),          # X_j lands on the grid too
+        (1.0, 3, 1, 4),          # the last path reaches 1, above every point
+        (0.5 * (1.0 + gauss_legendre(9)[0][2]), 4, 2, 8),
+        (0.5 * (1.0 + gauss_legendre(17)[0][16]), 5, 3, 16)])
+    def test_counted_pair_sum_is_the_exact_rational_sum(self, x0, i, j, grid):
+        counted = depcoeff._pair_sum(x0, i, j, grid)
+        exact = _pair_sum_fraction(x0, i, j, grid)
+        assert [[Fraction(v) for v in row] for row in counted.tolist()] == exact
+
+    @pytest.mark.parametrize("grid", [10, 100])
+    def test_other_grids_agree_with_the_product_to_rounding(self, grid):
+        # grid points are not dyadic here, so neither route is exact; the
+        # per-path means they feed the bound agree to 1e-12
+        for x0, i, j in _cases():
+            counted = depcoeff._pair_sum(x0, i, j, grid)
+            product = _pair_sum_oracle(x0, i, j, grid)
+            assert np.abs(counted - product).max() / 2**i <= 1e-12, (x0, i, j, grid)
+
+    def test_shipped_rows_keep_their_bits(self, monkeypatch):
+        # the coefficient report's rows, grid 128 and 17 nodes, as the product
+        # of indicator matrices computed them
+        rows = ((2, 1), (3, 2), (4, 3), (6, 4), (8, 6))
+        counted = [beta2_pair_lower_bound(i, j, grid=128, x0_nodes=17).hex()
+                   for i, j in rows]
+        monkeypatch.setattr(depcoeff, "_pair_sum", _pair_sum_oracle)
+        assert counted == [beta2_pair_lower_bound(i, j, grid=128, x0_nodes=17).hex()
+                           for i, j in rows]
+
+    def test_no_matrix_product_is_left(self):
+        # a BLAS product here runs on BLAS threads, which compete with the
+        # caller's own processes for the cores
+        tree = ast.parse(inspect.getsource(depcoeff))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"matmul", "einsum", "tensordot", "inner", "outer"}
+
+    def test_bound_at_the_path_cap(self):
+        # 2^16 paths per node on a 256 grid: counts take O(2^i + grid^2)
+        # memory, where the two (grid, 2^i) indicator matrices took 268 MB
+        val = beta2_pair_lower_bound(16, 15, grid=256, x0_nodes=3)
+        assert 0.0 <= val <= 2.0**-15 + 1e-9
 
     def test_rejects_too_many_paths_and_no_nodes(self):
         # 2^17 paths per node; raised before anything is allocated

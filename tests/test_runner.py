@@ -348,6 +348,15 @@ class TestCli:
         assert err.startswith("error: ") and named in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["risk-table-sweep", "risk-slope-plot"])
+    def test_empty_n_grid_refused_before_any_work(self, tmp_path, experiment):
+        # only a config built in code can hold one: parse_n_grid refuses ''
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=re.escape("n_grid must have at least one entry")):
+            run_experiment(ExperimentConfig(experiment=experiment, n_grid=(), trials=2),
+                           out_dir=out)
+        assert not out.exists()
+
     def test_config_error_type(self):
         with pytest.raises(ConfigError):
             parse_config("experiment = risk-table-sweep\nn_grid = 10\ntrials = 0\n")
