@@ -20,7 +20,7 @@ from pathlib import Path
 from .depcoeff import MAX_CLOSED_K
 from .errors import ConfigError
 from .kernels import KERNELS
-from .processes import DEFAULT_BURN_IN
+from .processes import DEFAULT_BURN_IN, MAX_BINS
 
 # experiment -> (required keys, optional keys); `experiment` itself is implied
 _SCHEMA = {
@@ -183,8 +183,8 @@ def validate_config(config: ExperimentConfig) -> None:
     if not (math.isfinite(config.bins_constant) and config.bins_constant > 0.0):
         raise ConfigError(
             f"bins_constant must be a finite number > 0, got {config.bins_constant}")
-    if config.m is not None and config.m < 1:
-        raise ConfigError(f"m must be >= 1, got {config.m}")
+    if config.m is not None and not 1 <= config.m <= MAX_BINS:
+        raise ConfigError(f"m must be >= 1 and <= MAX_BINS = {MAX_BINS}, got {config.m}")
     if config.grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {config.grid_points}")
     if config.trials < 1:

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import build_poly_basis
 from .errors import DomainError
 from .kernels import KernelSpec
-from .processes import bin_index, observations
+from .processes import bin_index, check_bin_count, observations
 from .quadrature import panel_nodes
 
 # sample values one gather of KernelDensity.evaluate holds at most (unless
@@ -180,10 +180,9 @@ def projection_estimate(values, m: int, degree: int) -> PiecewisePolyDensity:
     for the basis polynomials of degree <= `degree`.
 
     Values outside (0, 1] contribute zero, matching the zero extension of the
-    base polynomials.
+    base polynomials.  `check_bin_count` refuses m before any array is made.
     """
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
+    check_bin_count(m)
     basis = build_poly_basis(degree)
     values = observations(values)
     coeffs = np.empty((degree + 1, m))

@@ -6,13 +6,22 @@ correction finite far in the tails, where the plain Newton update
 (Phi(x) - p) / phi(x) under- and overflows.  Absolute error is below 1e-12 on
 (1e-300, 1 - 1e-16), comfortably inside the 1e-9 budget this package
 guarantees.
+
+`norm_ppf_array` takes whole arrays.  numpy has no erfc, so `math.erfc`,
+`math.log` and `math.exp` are applied through `np.frompyfunc`, and every other
+step is numpy's + - * / and sqrt, which round as Python's float operations do.
+So each entry gets the bytes of the same expression on one Python float, and
+`norm_ppf` is its one-element case.
 """
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2 = math.sqrt(2.0)
 
 # Acklam's coefficients for the central and tail rational approximations.
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -25,46 +34,83 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
+_EXP = np.frompyfunc(math.exp, 1, 1)
+
+_CHUNK = 1024  # entries per pass of norm_ppf_array, which bounds its temporaries
+
+
+def _each(func, x: np.ndarray) -> np.ndarray:
+    # frompyfunc returns an object array of boxed floats; it is made float64
+    # at once, so it does not outlive the call
+    return func(x).astype(float)
+
 
 def norm_cdf(x: float) -> float:
     """Phi(x) via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT_2)
 
 
-def _acklam(p: float) -> float:
-    # valid for p in (0, 0.5]; callers reduce by symmetry
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+def norm_ppf_array(p) -> np.ndarray:
+    """Inverse of the standard normal CDF at each entry of p, as a float64
+    array of p's shape; each entry has the bytes that the same operations
+    give on one Python float.
 
-
-def norm_ppf(p: float) -> float:
-    """Inverse of the standard normal CDF.
-
-    Raises DomainError unless 0 < p < 1.
+    Raises DomainError unless every entry lies in (0, 1); a NaN fails too,
+    and nothing is computed before the check.  The entries are computed
+    _CHUNK at a time, each independently of the others.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"normal quantile needs p in (0, 1), got {p!r}")
-    if p == 0.5:
-        return 0.0
-    if p > 0.5:
-        # 1 - p is exact for p in [0.5, 1] (Sterbenz), so symmetry is lossless
-        return -norm_ppf(1.0 - p)
+    p = np.asarray(p, dtype=float)
+    inside = (0.0 < p) & (p < 1.0)
+    if not inside.all():
+        raise DomainError("normal quantile needs p in (0, 1), got "
+                          f"{float(p[~inside].flat[0])!r}")
+    flat = p.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _CHUNK):
+        out[i:i + _CHUNK] = _ppf(flat[i:i + _CHUNK])
+    return out.reshape(p.shape)
 
-    x = _acklam(p)
-    log_p = math.log(p)
+
+def _ppf(p: np.ndarray) -> np.ndarray:
+    upper = p > 0.5
+    # 1 - p is exact for p in [0.5, 1] (Sterbenz), so symmetry is lossless
+    q = np.where(upper, 1.0 - p, p)
+    log_q = _each(_LOG, q)
+
+    # Acklam's fit on (0, 0.5], the tail and the central branch by mask
+    x = np.empty_like(q)
+    tail = q < _P_LOW
+    t = np.sqrt(-2.0 * log_q[tail])
+    x[tail] = ((((((_C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5])
+               / ((((_D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0))
+    c = q[~tail] - 0.5
+    r = c * c
+    x[~tail] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * c
+                / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+
+    # the median gets +0.0 from the fit, and both steps keep it: its log-CDF
+    # equals log p, so each correction is 0.0
+    live = np.arange(x.size)
     for _ in range(2):
         # Newton on g(x) = log Phi(x) - log p; the step is
         # g(x) * Phi(x)/phi(x), assembled in log space to avoid overflow.
-        phi_cdf = norm_cdf(x)
-        if phi_cdf <= 0.0:
-            break
-        log_cdf = math.log(phi_cdf)
-        ratio = math.exp(log_cdf + 0.5 * x * x + _LOG_SQRT_2PI)
-        x -= (log_cdf - log_p) * ratio
-    return x
+        # An entry whose CDF is 0 takes no further step.
+        xl = x[live]
+        phi_cdf = 0.5 * _each(_ERFC, -xl / _SQRT_2)
+        going = ~(phi_cdf <= 0.0)
+        live, xl, phi_cdf = live[going], xl[going], phi_cdf[going]
+        log_cdf = _each(_LOG, phi_cdf)
+        ratio = _each(_EXP, log_cdf + 0.5 * xl * xl + _LOG_SQRT_2PI)
+        x[live] = xl - (log_cdf - log_q[live]) * ratio
+    return np.where(upper, -x, x)
+
+
+def norm_ppf(p: float) -> float:
+    """Inverse of the standard normal CDF: the one-element case of
+    `norm_ppf_array`.
+
+    Raises DomainError unless 0 < p < 1.
+    """
+    return float(norm_ppf_array(p))

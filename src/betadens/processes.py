@@ -20,17 +20,20 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .normal import norm_ppf
+from .errors import CapacityError, DomainError
+from .normal import norm_ppf_array
 
 DEFAULT_BURN_IN = 1000
 _BLOCK = 8192  # values per block of lsv_blocks
 PREFIX_BITS = 12  # register bits that index the table of _prefix_bins
+MAX_BINS = 2**20  # largest bin count m: its count array takes 8 MB
 
 
 class ProcessKind(enum.Enum):
@@ -143,13 +146,13 @@ class ReferenceDensity:
 
     def quantile(self, u) -> np.ndarray:
         """The inverse CDF at u: piece by piece for a step density, the end
-        pieces extended; for the Gaussian mu + sigma norm_ppf(u).  A step
-        density with a piece <= 0 has none and raises DomainError."""
+        pieces extended; for the Gaussian mu + sigma norm_ppf_array(u), on
+        the whole array, with the bytes of mu + sigma norm_ppf(p) for each p.
+        A step density with a piece <= 0 has none and raises DomainError."""
         u = np.asarray(u, dtype=float)
         if self.breaks is None:
             mu, sigma = self.mu, math.sqrt(self.sigma2)
-            return np.fromiter((mu + sigma * norm_ppf(p) for p in u.flat),
-                               dtype=float, count=u.size).reshape(u.shape)
+            return mu + sigma * norm_ppf_array(u)
         breaks, slopes, cdf = self._pieces
         i = np.searchsorted(cdf[1:-1], u, side="left")
         return breaks[i] + slopes[i] * (u - cdf[i])
@@ -281,6 +284,15 @@ def register_values(marginal: ReferenceDensity, hi: np.ndarray,
     return marginal.quantile(values)
 
 
+def check_bin_count(m: int) -> None:
+    """DomainError for m < 1 and CapacityError for m > MAX_BINS, raised
+    before any array of m entries is made."""
+    if m < 1:
+        raise DomainError(f"bin count must be >= 1, got {m}")
+    if m > MAX_BINS:
+        raise CapacityError(f"bin count {m} exceeds the bound MAX_BINS = {MAX_BINS}")
+
+
 def bin_index(values, m: int) -> np.ndarray:
     """Bin j of ((j-1)/m, j/m] of each value; 0 for x <= 0 and m + 1 for
     x > 1 or NaN, the two bins an estimate drops."""
@@ -317,12 +329,11 @@ def _prefix_bins(marginal: ReferenceDensity, m: int) -> np.ndarray:
 
 def bin_counts(spec: ProcessSpec, m: int) -> np.ndarray:
     """The counts in bins 1..m of `bin_index` of generate(spec), bit for bit;
-    DomainError for m < 1 before any value is made.  An lsv trajectory is
+    `check_bin_count` refuses m before any value is made.  An lsv trajectory is
     counted block by block, so its values are never held at once; a chain
     with a step marginal from its register prefixes, making only the values
     whose prefix `_prefix_bins` leaves open; any other chain from its values."""
-    if m < 1:
-        raise DomainError(f"bin count must be >= 1, got {m}")
+    check_bin_count(m)
     marginal = spec.marginal
     if spec.kind is ProcessKind.LSV_TRAJECTORY:
         counts = np.zeros(m + 2, dtype=np.intp)
@@ -386,28 +397,31 @@ def lsv_blocks(spec: ProcessSpec):
     (T^{b+1}(y), ..., T^{b+n}(y)) from a uniform start y, as float64 blocks of
     at most _BLOCK values, each checked for [0, 1].
 
-    The loop inlines the same branch arithmetic as lsv_step, whose images
-    stay in [0, 1] in double precision (the bound is in lsv_step), so no
-    iterate is clamped, and one that left [0, 1] would fail its block's
-    check; iterates escape the neutral fixed point in finitely many steps,
-    so plain double precision is used throughout.  Blocks cut steps
-    b + 1, ..., b + n at multiples of _BLOCK counted from the start, so the
-    first and the last may be short.
+    Each block is one list comprehension over Python floats with the same
+    branch arithmetic as lsv_step, whose images stay in [0, 1] in double
+    precision (the bound is in lsv_step), so no iterate is clamped, and one
+    that left [0, 1] would fail its block's check; iterates escape the
+    neutral fixed point in finitely many steps, so plain double precision is
+    used throughout.  The kept iterates become the block in one
+    `struct.pack`, which copies each C double as it is, and their list is
+    dropped before the next block is made.  Blocks cut steps b + 1, ..., b + n
+    at multiples of _BLOCK counted from the start, so the first and the last
+    may be short.
     """
     if spec.kind is not ProcessKind.LSV_TRAJECTORY:
         raise DomainError(f"{spec.kind.value} is not an lsv trajectory")
     gamma, burn_in = spec.gamma, spec.burn_in
     x = _rng(spec.seed).random()
     scale = 2.0**gamma
-    buf = [0.0] * _BLOCK
     total = burn_in + spec.n
     for start in range(0, total, _BLOCK):
-        size = min(_BLOCK, total - start)
-        for k in range(size):
-            x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
-            buf[k] = x
-        if start + size > burn_in:
-            block = np.array(buf[max(0, burn_in - start):size])
+        kept = [(x := x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0)
+                for _ in itertools.repeat(None, min(_BLOCK, total - start))]
+        if start < burn_in:
+            kept = kept[burn_in - start:]
+        if kept:
+            block = np.frombuffer(struct.pack(f"{len(kept)}d", *kept))
+            del kept
             # one min/max pair over the block; a NaN fails the comparison
             if not (0.0 <= block.min() and block.max() <= 1.0):
                 raise DomainError("lsv samples live in [0, 1]")

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .processes import check_bin_count
 
 
 @dataclass(frozen=True)
@@ -35,15 +36,20 @@ def kernel_bandwidth(n: int, regime: RateRegime, constant: float = 1.0) -> float
 
 def _floor_power(x: float) -> int:
     # floor with a one-ulp-scale forgiveness so exact powers (1000^(1/3),
-    # 4096^(1/2), ...) are not pushed below the integer by float rounding
+    # 4096^(1/2), ...) are not pushed below the integer by float rounding;
+    # a count above MAX_BINS is refused here, so a sweep refuses while it
+    # builds its rows
     m = math.floor(x)
     if (m + 1) <= x * (1.0 + 1e-12):
         m += 1
-    return max(m, 1)
+    m = max(m, 1)
+    check_bin_count(m)
+    return m
 
 
 def histogram_bins_bv(n: int, constant: float = 1.0) -> int:
-    """floor(C * n^(1/3)), clamped to >= 1: the schedule for BV densities."""
+    """floor(C * n^(1/3)), clamped to >= 1: the schedule for BV densities.
+    CapacityError above MAX_BINS."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 < constant < math.inf:
@@ -59,6 +65,7 @@ def histogram_bins_lsv(n: int, gamma: float) -> int:
 
     floor(n^(1/(3 - 2 gamma))) up to the boundary gamma = 1/2, and
     floor(n^((1 - gamma)/(gamma (3 - 2 gamma)))) in the long-range regime.
+    CapacityError above MAX_BINS.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

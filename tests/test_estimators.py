@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, DomainError, KernelDensity,
+from betadens import (EPANECHNIKOV, KERNELS, TRIANGULAR, CapacityError, DomainError,
+                      KernelDensity,
                       KernelSpec, PiecewisePolyDensity, ProcessKind, ProcessSpec,
                       UnsupportedDegree, build_poly_basis, estimate_mass, gaussian, generate,
                       histogram_estimate, projection_estimate, silverman_bandwidth,
                       step_density, two_level, uniform01)
 from betadens.estimators import _GATHER_ELEMENTS
-from betadens.processes import PREFIX_BITS, _prefix_bins, lsv_blocks
+from betadens.processes import MAX_BINS, PREFIX_BITS, _prefix_bins, lsv_blocks
 from test_processes import two_level_quantile_oracle
 
 
@@ -395,6 +396,18 @@ class TestProjection:
     def test_rejects_bad_bin_count(self):
         with pytest.raises(DomainError):
             projection_estimate([0.5], 0, 0)
+        for degree in (0, 2):
+            with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+                projection_estimate([0.5], MAX_BINS + 1, degree)
+        with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+            histogram_estimate([0.5], MAX_BINS + 1)
+
+    def test_histogram_at_the_cap(self):
+        # 0.75 lies in bin 3 MAX_BINS / 4 exactly: MAX_BINS is a power of two
+        est = histogram_estimate([0.75, 1.0], MAX_BINS)
+        heights = est.bin_values()
+        assert len(heights) == MAX_BINS and heights.sum() == MAX_BINS
+        assert np.flatnonzero(heights).tolist() == [3 * MAX_BINS // 4 - 1, MAX_BINS - 1]
 
     def test_coefficient_shape_validated(self):
         # the shape is the whole description: 2-D, at least one bin, and a

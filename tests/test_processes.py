@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from betadens import (DomainError, ProcessKind, ProcessSpec, ar1_binary_chain, ar1_step,
+from betadens import (CapacityError, DomainError, ProcessKind, ProcessSpec, ar1_binary_chain, ar1_step,
                       gaussian, gaussian_quantile_transform, generate, lsv_step,
                       lsv_trajectory, piecewise_quantile_transform, two_level, uniform01)
 from betadens import processes
-from betadens.processes import _BLOCK, PREFIX_BITS, _rng, register_values
+from betadens.processes import (_BLOCK, MAX_BINS, PREFIX_BITS, _rng, bin_counts, bin_index,
+                                lsv_blocks, register_values)
 
 
 def two_level_quantile_oracle(u):
@@ -20,6 +21,30 @@ def two_level_quantile_oracle(u):
     return np.where(u <= 0.125, 2.0 * u,
                     np.where(u <= 0.875, 0.25 + (2.0 / 3.0) * (u - 0.125),
                              0.75 + 2.0 * (u - 0.875)))
+
+
+# (n, burn-in) pairs that put the end of the burn-in and the end of the
+# trajectory on both sides of a block edge
+BLOCK_EDGE_RUNS = ((400, 0), (400, 1), (400, 37), (1, _BLOCK - 1), (1, _BLOCK),
+                   (2, _BLOCK - 1), (_BLOCK + 1, _BLOCK - 1), (_BLOCK, _BLOCK + 1),
+                   (_BLOCK - 1, 1), (2 * _BLOCK + 1, 0))
+
+
+def lsv_blocks_oracle(spec):
+    # the blocks of lsv_blocks written as a plain loop: each iterate stored by
+    # index into one reused list, the kept slice turned into an array
+    gamma, burn_in = spec.gamma, spec.burn_in
+    x = _rng(spec.seed).random()
+    scale = 2.0**gamma
+    buf = [0.0] * _BLOCK
+    total = burn_in + spec.n
+    for start in range(0, total, _BLOCK):
+        size = min(_BLOCK, total - start)
+        for k in range(size):
+            x = x * (1.0 + scale * x**gamma) if x < 0.5 else 2.0 * x - 1.0
+            buf[k] = x
+        if start + size > burn_in:
+            yield np.array(buf[max(0, burn_in - start):size])
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -146,10 +171,10 @@ class TestTransforms:
         calls = []
 
         def counting_ppf(u):
-            calls.append(u)
-            return 0.0
+            calls.append(np.array(u))
+            return np.zeros_like(u)
 
-        monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
+        monkeypatch.setattr(processes, "norm_ppf_array", counting_ppf)
         s = ar1_binary_chain(1000, seed=2)
         for mu, sigma2 in ((0.0, -1.0), (0.0, 0.0), (0.0, math.inf), (0.0, math.nan),
                            (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)):
@@ -157,7 +182,21 @@ class TestTransforms:
                 gaussian_quantile_transform(s, mu, sigma2)
         assert calls == []
         gaussian_quantile_transform(s, 0.0, 1.0)
-        assert len(calls) == 1000
+        # one call on the whole sample
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], s)
+
+    @pytest.mark.parametrize("density", [gaussian(0.5, 0.01), two_level()], ids=str)
+    def test_quantile_of_a_0d_and_a_2d_input(self, density):
+        # a grid keeps its shape and a 0-d input gives a numpy scalar, for the
+        # Gaussian as for a step density
+        u = np.random.default_rng(3).random(6)
+        flat = density.quantile(u)
+        grid = density.quantile(u.reshape(2, 3))
+        assert grid.shape == (2, 3) and grid.tobytes() == flat.tobytes()
+        point = density.quantile(np.float64(u[5]))
+        assert type(point) is np.float64 and point.tobytes() == flat[5:].tobytes()
+        assert type(density.quantile(np.array(u[5]))) is np.float64
 
     def test_gaussian_run_survives_rounded_registers(self, monkeypatch):
         # registers 0 and 2^64 - 1 convert to exactly 0.0 and 1.0
@@ -177,9 +216,9 @@ class TestTransforms:
 
         def counting_ppf(u):
             calls.append(u)
-            return 0.0
+            return np.zeros_like(u)
 
-        monkeypatch.setattr(processes, "norm_ppf", counting_ppf)
+        monkeypatch.setattr(processes, "norm_ppf_array", counting_ppf)
         values = np.full(2 * _BLOCK, 0.5)
         values[position] = math.nan
         with pytest.raises(DomainError, match="strictly inside"):
@@ -295,12 +334,8 @@ class TestLsvMap:
         assert s[0] == lsv_step(y0, 0.3)
 
     def test_trajectory_equals_folded_steps(self):
-        # the last pairs put the end of the burn-in and the end of the
-        # trajectory on both sides of a block edge
         seed, gamma = 12, 0.6
-        for n, burn_in in ((400, 0), (400, 1), (400, 37), (1, _BLOCK - 1), (1, _BLOCK),
-                           (2, _BLOCK - 1), (_BLOCK + 1, _BLOCK - 1), (_BLOCK, _BLOCK + 1),
-                           (_BLOCK - 1, 1), (2 * _BLOCK + 1, 0)):
+        for n, burn_in in BLOCK_EDGE_RUNS:
             s = lsv_trajectory(n, gamma, burn_in=burn_in, seed=seed)
             x = np.random.Generator(np.random.Philox(key=seed)).random()
             manual = []
@@ -308,6 +343,25 @@ class TestLsvMap:
                 x = lsv_step(x, gamma)
                 manual.append(x)
             assert np.array_equal(s, np.array(manual[burn_in:])), (n, burn_in)
+
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
+    def test_blocks_have_the_bytes_of_the_loop(self, gamma):
+        for n, burn_in in BLOCK_EDGE_RUNS + ((200_000, 1000),):
+            spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=n, burn_in=burn_in,
+                               gamma=gamma, seed=n + burn_in)
+            got, want = list(lsv_blocks(spec)), list(lsv_blocks_oracle(spec))
+            assert [len(b) for b in got] == [len(b) for b in want], (n, burn_in)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes(), (n, burn_in)
+
+    def test_bin_counts_count_the_generated_values(self):
+        for gamma, n in ((0.25, 3 * _BLOCK + 5), (0.75, 50_000)):
+            spec = ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=n, gamma=gamma, seed=21)
+            values = generate(spec)
+            for m in (1, 7, 100, 1000):
+                want = np.bincount(bin_index(values, m), minlength=m + 2)[1:m + 1]
+                assert np.array_equal(bin_counts(spec, m), want), (gamma, m)
 
     def test_values_in_unit_interval(self):
         s = lsv_trajectory(5000, 0.75, seed=8)
@@ -326,6 +380,34 @@ class TestLsvMap:
         a = lsv_trajectory(500, 0.5, seed=6)
         b = lsv_trajectory(500, 0.5, seed=6)
         assert np.array_equal(a, b)
+
+
+CAP_SPECS = (ProcessSpec(ProcessKind.LSV_TRAJECTORY, n=1000, gamma=0.5, seed=4),
+             ProcessSpec(ProcessKind.AR1_PIECEWISE, n=1000, seed=4),
+             ProcessSpec(ProcessKind.AR1_GAUSSIAN, n=1000, seed=4, mu=0.5, sigma2=0.01))
+
+
+class TestBinCountCap:
+    @pytest.mark.parametrize("spec", CAP_SPECS, ids=lambda s: s.kind.value)
+    def test_refused_above_the_cap_before_any_value(self, spec, monkeypatch):
+        made = []
+
+        def making(*args):
+            made.append(args)
+            raise AssertionError("a value was made")
+
+        for name in ("lsv_blocks", "_windows16", "generate"):
+            monkeypatch.setattr(processes, name, making)
+        with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+            bin_counts(spec, MAX_BINS + 1)
+        assert made == []
+
+    @pytest.mark.parametrize("spec", CAP_SPECS, ids=lambda s: s.kind.value)
+    def test_counted_at_the_cap(self, spec):
+        want = np.bincount(bin_index(generate(spec), MAX_BINS), minlength=MAX_BINS + 2)
+        got = bin_counts(spec, MAX_BINS)
+        assert len(got) == MAX_BINS and got.sum() == spec.n
+        assert np.array_equal(got, want[1:MAX_BINS + 1])
 
 
 class TestSpecValidation:

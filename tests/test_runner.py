@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from betadens.cli import main
 from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_config,
                              serialize_config)
 from betadens.csvio import read_csv
+from betadens.processes import MAX_BINS
 from betadens.runner import _RUNNERS, run_experiment
 from betadens.svg import SvgFigure
 
@@ -320,6 +322,29 @@ class TestCli:
             assert err.startswith("error: ") and named in err
             assert len(err.splitlines()) == 1
             assert not out.exists()
+
+    def test_bin_count_above_the_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        # an explicit m is refused by the config check, a scheduled one when
+        # the sweep builds its rows: before any count array or pool is made
+        started = count_pools(monkeypatch)
+        for name, text in (
+                ("lsv", "experiment = lsv-histogram-figure\nn = 1000\ngamma = 0.5\n"
+                        "m = 1000000000000\n"),
+                ("two_level", "experiment = histogram-two-level-figure\nn = 1000\n"
+                              "m = 1000000000000\n"),
+                ("sweep", "experiment = risk-table-sweep\nn_grid = 1000\ntrials = 2\n"
+                          "bins_constant = 1e30\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            out = tmp_path / f"out-{name}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"MAX_BINS = {MAX_BINS}" in err, name
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
+        assert started == []
 
     @pytest.mark.parametrize("values, named", [
         (dict(experiment="histogram-two-level-figure", n=0), "n must be >= 1"),

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betadens import (DomainError, RateRegime, equivalent_density,
+from betadens import (CapacityError, DomainError, RateRegime, equivalent_density,
                       histogram_bins_bv, histogram_bins_lsv, kernel_bandwidth,
                       lsv_rate_exponent)
+from betadens.processes import MAX_BINS
 from betadens.quadrature import panel_nodes
 
 
@@ -89,6 +90,16 @@ class TestHistogramBins:
             assert all(a <= b for a, b in zip(ms, ms[1:]))
         ms = [histogram_bins_bv(n) for n in range(1, 3000, 37)]
         assert all(a <= b for a, b in zip(ms, ms[1:]))
+
+    def test_capped_at_max_bins(self):
+        assert histogram_bins_bv(1, MAX_BINS) == MAX_BINS
+        assert histogram_bins_lsv(MAX_BINS**2, 0.5) == MAX_BINS
+        with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+            histogram_bins_bv(1, MAX_BINS + 1)
+        with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+            histogram_bins_bv(1000, 1e30)
+        with pytest.raises(CapacityError, match=f"MAX_BINS = {MAX_BINS}"):
+            histogram_bins_lsv((MAX_BINS + 1)**2, 0.5)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
