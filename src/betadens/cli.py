@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import RiskTableSweep, load_config
 from .errors import BetadensError, ConfigError
 from .runner import run_experiment
 
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     out = {"out_dir": overrides.pop("out_dir")} if "out_dir" in overrides else {}
     try:
         config = load_config(config_path, overrides)
-        if command == "table" and config.n_grid is None:
+        if command == "table" and not isinstance(config, RiskTableSweep):
             raise ConfigError(f"'table' needs a config with the key 'n_grid', and "
                               f"experiment {config.experiment!r} has none")
         files = run_experiment(config, **out)

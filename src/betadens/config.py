@@ -1,66 +1,101 @@
 """Flat key=value experiment configurations.
 
 One experiment per file; lines are `key = value`, blank lines and `#`
-comments are ignored.  `parse_config` is the one way from text to a config:
-the pairs of a file and any overrides (the command-line flags) meet the same
-checks, so an unknown key, a key outside its experiment or a value that does
-not convert is rejected.  `validate_config` checks every config before it
-runs, whether parsed or built in code: each required key of its experiment
-(a key with no default) must be set, and every value must lie in range.
+comments are ignored.  An experiment is a dataclass: `experiment` names it,
+its fields are its keys, typed as what their text converts to, and a field
+with no default is required.  `parse_config` gives the pairs of a file and
+the overrides (the command-line flags) the same checks; the error for a key
+the experiment does not take lists the keys it does.  `validate_config`
+checks every config before it runs, parsed or built in code, by the one
+range rule of each key.
 """
 
-from __future__ import annotations
-
 import math
-import types
-import typing
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .depcoeff import MAX_CLOSED_K
 from .errors import ConfigError
 from .kernels import KERNELS
 from .processes import DEFAULT_BURN_IN, MAX_BINS
+from .risk import MAX_WORKERS
 
-# experiment -> (required keys, optional keys); `experiment` itself is implied
-_SCHEMA = {
-    "kernel-gaussian-figure": ({"n", "mu", "sigma2"},
-                               {"kernel", "bandwidth", "master_seed", "grid_points",
-                                "burn_in"}),
-    "histogram-two-level-figure": ({"n"}, {"m", "master_seed", "burn_in"}),
-    "risk-table-sweep": ({"n_grid"},
-                         {"trials", "p", "bins_constant", "master_seed", "threads",
-                          "burn_in"}),
-    "risk-slope-plot": ({"n_grid"},
-                        {"trials", "p", "bins_constant", "master_seed", "threads",
-                         "loglog", "burn_in"}),
-    "lsv-histogram-figure": ({"n", "gamma"}, {"m", "master_seed", "burn_in"}),
-    "coefficient-report": (set(), {"k_max"}),
-}
-
-EXPERIMENTS = tuple(_SCHEMA)
+MAX_GRID_POINTS = 2**20  # largest kernel-figure grid: 8 MB per array over it
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    n: int | None = None
-    n_grid: tuple[int, ...] | None = None
-    trials: int = 300
+@dataclass(kw_only=True)
+class Experiment:
+    """The base of every experiment's config, which all have a seed."""
+    experiment: ClassVar[str]
     master_seed: int = 1
-    p: float = 1.0
-    gamma: float | None = None
-    mu: float | None = None
-    sigma2: float | None = None
+
+
+@dataclass(kw_only=True)
+class KernelGaussianFigure(Experiment):
+    experiment: ClassVar[str] = "kernel-gaussian-figure"
+    # no key: the benchmark measures this figure's estimator by its L1 risk
+    p: ClassVar[float] = 1.0
+    n: int
+    mu: float
+    sigma2: float
     kernel: str = "epanechnikov"
     bandwidth: str = "silverman"       # "silverman" or a float literal
-    m: int | None = None
+    grid_points: int = 512
+    burn_in: int = DEFAULT_BURN_IN
+
+
+@dataclass(kw_only=True)
+class HistogramTwoLevelFigure(Experiment):
+    experiment: ClassVar[str] = "histogram-two-level-figure"
+    n: int
+    m: int = None                      # None: the bin-count schedule's m
+    burn_in: int = DEFAULT_BURN_IN
+
+
+@dataclass(kw_only=True)
+class RiskTableSweep(Experiment):
+    experiment: ClassVar[str] = "risk-table-sweep"
+    n_grid: tuple[int, ...]
+    trials: int = 300
+    p: float = 1.0
     bins_constant: float = 1.0
     threads: int = 1
-    grid_points: int = 512
-    k_max: int = 20
     burn_in: int = DEFAULT_BURN_IN
+
+
+@dataclass(kw_only=True)
+class RiskSlopePlot(RiskTableSweep):
+    experiment: ClassVar[str] = "risk-slope-plot"
     loglog: bool = False
+
+
+@dataclass(kw_only=True)
+class LsvHistogramFigure(Experiment):
+    experiment: ClassVar[str] = "lsv-histogram-figure"
+    n: int
+    gamma: float
+    m: int = None                      # None: the bin-count schedule's m
+    burn_in: int = DEFAULT_BURN_IN
+
+
+@dataclass(kw_only=True)
+class CoefficientReport(Experiment):
+    experiment: ClassVar[str] = "coefficient-report"
+    # no key: it draws no sample, and code that totals sample sizes reads None
+    n: ClassVar[None] = None
+    # no key, as nothing here is random; a field so that reseeding every config works
+    master_seed: int = field(default=1, metadata={"key": False})
+    k_max: int = 20
+
+
+EXPERIMENTS = {cls.experiment: cls for cls in (KernelGaussianFigure, HistogramTwoLevelFigure,
+               RiskTableSweep, RiskSlopePlot, LsvHistogramFigure, CoefficientReport)}
+
+
+def config_keys(cls: type[Experiment]) -> dict[str, Field]:
+    """The keys of experiment class `cls`: its fields, but one marked as no key."""
+    return {f.name: f for f in fields(cls) if f.metadata.get("key", True)}
 
 
 def parse_n_grid(text: str) -> tuple[int, ...]:
@@ -77,29 +112,19 @@ def parse_n_grid(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse n_grid value {text!r}") from None
 
 
-def _value_type(hint):
-    """The type a key's text converts to: X for a field annotated `X | None`."""
-    if isinstance(hint, types.UnionType):
-        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-    return hint
-
-
-_KEY_TYPES = {key: _value_type(hint)
-          for key, hint in typing.get_type_hints(ExperimentConfig).items()}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _convert(key: str, raw: str):
-    if key == "n_grid":
+def _convert(key: Field, raw: str):
+    if key.name == "n_grid":
         return parse_n_grid(raw)
-    kind = _KEY_TYPES[key]
     try:
-        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        return _BOOLS[raw.lower()] if key.type is bool else key.type(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
+        raise ConfigError(f"bad value {raw!r} for key {key.name!r}") from None
 
 
-def parse_config(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experiment:
     """The config of `text`; each `key: raw` pair of `overrides` sets its key
     as a line of `text` would, in place of any value the text gives it."""
     pairs: dict[str, str] = {}
@@ -118,104 +143,98 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> Experime
 
     if "experiment" not in pairs:
         raise ConfigError("missing required key 'experiment'")
-    config = ExperimentConfig(experiment=pairs.pop("experiment"))
-    required, optional = _schema(config.experiment)
+    name = pairs.pop("experiment")
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}; have {tuple(EXPERIMENTS)}")
+    keys = config_keys(EXPERIMENTS[name])
+    values = {}
     for key, raw in pairs.items():
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown key {key!r}")
-        if key not in required | optional:
-            raise ConfigError(
-                f"key {key!r} does not belong to experiment {config.experiment!r}")
-        setattr(config, key, _convert(key, raw))
+        if key not in keys:
+            raise ConfigError(f"key {key!r} does not belong to experiment {name!r}, "
+                              f"whose keys are {list(keys)}")
+        values[key] = _convert(keys[key], raw)
+    missing = [key for key, f in keys.items() if f.default is MISSING and key not in values]
+    if missing:
+        raise ConfigError(f"experiment {name!r} is missing keys {missing}")
+    config = EXPERIMENTS[name](**values)
     validate_config(config)
     return config
 
 
-def _schema(experiment: str):
+def _n_grid_complaint(grid):
+    if not grid:
+        # a sweep over no n would write a table of its header alone
+        return "n_grid must have at least one entry, got ()"
+    if any(n < 1 for n in grid):
+        return f"n_grid entries must be >= 1, got {grid}"
+    if len(set(grid)) < len(grid):
+        # a repeated n would rerun the identical row on the identical seed
+        return f"n_grid entries must be distinct, got {grid}"
+
+
+def _is_bandwidth(text):
     try:
-        return _SCHEMA[experiment]
-    except KeyError:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; have {EXPERIMENTS}") from None
+        return text == "silverman" or 0.0 < float(text) < math.inf
+    except ValueError:
+        return False
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ConfigError unless `config` names a known experiment, sets each of
-    its required keys and keeps every value in range."""
-    required, _ = _schema(config.experiment)
-    missing = sorted(key for key in required if getattr(config, key) is None)
-    if missing:
-        raise ConfigError(f"experiment {config.experiment!r} is missing keys {missing}")
-    if config.n is not None and config.n < 1:
-        raise ConfigError(f"n must be >= 1, got {config.n}")
-    if config.n_grid is not None:
-        if not config.n_grid:
-            # a sweep over no n would write a table of its header alone
-            raise ConfigError("n_grid must have at least one entry, got ()")
-        if any(n < 1 for n in config.n_grid):
-            raise ConfigError(f"n_grid entries must be >= 1, got {config.n_grid}")
-        if len(set(config.n_grid)) < len(config.n_grid):
-            # a repeated n would rerun the identical row on the identical seed
-            raise ConfigError(f"n_grid entries must be distinct, got {config.n_grid}")
-        if config.experiment == "risk-slope-plot" and len(config.n_grid) < 3:
-            raise ConfigError("risk-slope-plot fits a slope to at least 3 n_grid "
-                              f"entries, got {len(config.n_grid)}")
-    if config.burn_in < 0:
-        raise ConfigError(f"burn_in must be >= 0, got {config.burn_in}")
-    if config.bandwidth != "silverman":
-        try:
-            h = float(config.bandwidth)
-        except ValueError:
-            h = math.nan
-        if not 0.0 < h < math.inf:
-            raise ConfigError("bandwidth must be 'silverman' or a number, finite and > 0, "
-                              f"got {config.bandwidth!r}")
-    if config.kernel.lower() not in KERNELS:
-        raise ConfigError(f"unknown kernel {config.kernel!r}; have {sorted(KERNELS)}")
-    if config.gamma is not None and not 0.0 < config.gamma < 1.0:
-        raise ConfigError(f"gamma must lie in (0, 1), got {config.gamma}")
-    if config.mu is not None and not math.isfinite(config.mu):
-        raise ConfigError(f"mu must be finite, got {config.mu}")
-    if config.sigma2 is not None and not 0.0 < config.sigma2 < math.inf:
-        raise ConfigError(f"sigma2 must be a finite number > 0, got {config.sigma2}")
-    if not 1.0 <= config.p < math.inf:
-        raise ConfigError(f"p must be >= 1 and finite, got {config.p}")
-    if not (math.isfinite(config.bins_constant) and config.bins_constant > 0.0):
-        raise ConfigError(
-            f"bins_constant must be a finite number > 0, got {config.bins_constant}")
-    if config.m is not None and not 1 <= config.m <= MAX_BINS:
-        raise ConfigError(f"m must be >= 1 and <= MAX_BINS = {MAX_BINS}, got {config.m}")
-    if config.grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {config.grid_points}")
-    if config.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {config.trials}")
-    if config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
-    if not 1 <= config.k_max <= MAX_CLOSED_K:
-        raise ConfigError(f"k_max must be >= 1 and <= {MAX_CLOSED_K}, got {config.k_max}")
-    if not 0 <= config.master_seed < 2**64:
-        raise ConfigError(
-            f"master_seed must be an unsigned 64-bit integer, got {config.master_seed}")
+# key -> its range rule: the complaint about a bad value, else false; bool loglog has none
+_RULES = {
+    "n": lambda n: n < 1 and f"n must be >= 1, got {n}",
+    "n_grid": _n_grid_complaint,
+    "burn_in": lambda b: b < 0 and f"burn_in must be >= 0, got {b}",
+    "bandwidth": lambda b: not _is_bandwidth(b) and (
+        f"bandwidth must be 'silverman' or a number, finite and > 0, got {b!r}"),
+    "kernel": lambda k: k.lower() not in KERNELS and (
+        f"unknown kernel {k!r}; have {sorted(KERNELS)}"),
+    "gamma": lambda g: not 0.0 < g < 1.0 and f"gamma must lie in (0, 1), got {g}",
+    "mu": lambda mu: not math.isfinite(mu) and f"mu must be finite, got {mu}",
+    "sigma2": lambda s: not 0.0 < s < math.inf and (
+        f"sigma2 must be a finite number > 0, got {s}"),
+    "p": lambda p: not 1.0 <= p < math.inf and f"p must be >= 1 and finite, got {p}",
+    "bins_constant": lambda c: not (math.isfinite(c) and c > 0.0) and (
+        f"bins_constant must be a finite number > 0, got {c}"),
+    "m": lambda m: not 1 <= m <= MAX_BINS and (
+        f"m must be >= 1 and <= MAX_BINS = {MAX_BINS}, got {m}"),
+    "grid_points": lambda g: not 2 <= g <= MAX_GRID_POINTS and (
+        f"grid_points must be >= 2 and <= MAX_GRID_POINTS = {MAX_GRID_POINTS}, got {g}"),
+    "trials": lambda t: t < 1 and f"trials must be >= 1, got {t}",
+    "threads": lambda t: not 1 <= t <= MAX_WORKERS and (
+        f"threads must be >= 1 and <= MAX_WORKERS = {MAX_WORKERS}, got {t}"),
+    "k_max": lambda k: not 1 <= k <= MAX_CLOSED_K and (
+        f"k_max must be >= 1 and <= {MAX_CLOSED_K}, got {k}"),
+    "master_seed": lambda s: not 0 <= s < 2**64 and (
+        f"master_seed must be an unsigned 64-bit integer, got {s}"),
+}
 
 
-def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
+def validate_config(config: Experiment) -> None:
+    """Raise ConfigError unless every value of `config` passes its key's
+    range rule (and a slope plot's n_grid has the 3 entries a slope needs)."""
+    for f in fields(config):
+        value, rule = getattr(config, f.name), _RULES.get(f.name)
+        if value is not None and rule and (complaint := rule(value)):
+            raise ConfigError(complaint)
+    if isinstance(config, RiskSlopePlot) and len(config.n_grid) < 3:
+        raise ConfigError("risk-slope-plot fits a slope to at least 3 n_grid "
+                          f"entries, got {len(config.n_grid)}")
+
+
+def load_config(path, overrides: dict[str, str] | None = None) -> Experiment:
     return parse_config(Path(path).read_text(encoding="utf-8"), overrides)
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical, re-parseable text form (only keys that matter are kept)."""
-    required, optional = _schema(config.experiment)
-    keep = {"experiment"} | required | optional
-    lines = []
-    for f in fields(config):
-        if f.name not in keep:
-            continue
-        value = getattr(config, f.name)
+def serialize_config(config: Experiment) -> str:
+    """Canonical, re-parseable text form."""
+    lines = [f"experiment = {config.experiment}"]
+    for key in config_keys(type(config)):
+        value = getattr(config, key)
         if value is None:
             continue
-        if f.name == "n_grid":
+        if key == "n_grid":
             value = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import singledispatch
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, validate_config
+from .config import (CoefficientReport, Experiment, HistogramTwoLevelFigure,
+                     KernelGaussianFigure, LsvHistogramFigure, RiskSlopePlot,
+                     RiskTableSweep, validate_config)
 from .csvio import emit_csv
 from .depcoeff import beta1_estimate, beta2_pair_lower_bound
 from .processes import ProcessKind, ProcessSpec
@@ -18,15 +21,22 @@ from .schedules import (equivalent_density, histogram_bins_bv, histogram_bins_ls
 from .svg import SvgFigure
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | Path = "out") -> list[Path]:
+def run_experiment(config: Experiment, out_dir: str | Path = "out") -> list[Path]:
     """Validate and execute one experiment, writing into `out_dir`, which is
     made with the first file, so a run that fails before it leaves none;
     returns the files written."""
     validate_config(config)
-    return _RUNNERS[config.experiment](config, Path(out_dir))
+    return _run(config, Path(out_dir))
 
 
-def _kernel_gaussian_figure(config: ExperimentConfig, out: Path) -> list[Path]:
+@singledispatch
+def _run(config: Experiment, out: Path) -> list[Path]:
+    """Run the experiment of `config`'s class: the runner registered for it."""
+    raise TypeError(f"no experiment runs a {type(config).__name__}")
+
+
+@_run.register
+def _kernel_gaussian_figure(config: KernelGaussianFigure, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_GAUSSIAN, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in,
                        mu=config.mu, sigma2=config.sigma2)
@@ -75,7 +85,8 @@ def _histogram_figure(out: Path, stem: str, estimate, column: str,
     return [csv_path, fig.save(out / f"{stem}.svg")]
 
 
-def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Path]:
+@_run.register
+def _histogram_two_level_figure(config: HistogramTwoLevelFigure, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in)
     m = config.m if config.m is not None else histogram_bins_bv(config.n)
@@ -89,7 +100,7 @@ def _histogram_two_level_figure(config: ExperimentConfig, out: Path) -> list[Pat
         np.repeat(breaks, 2)[1:-1], np.repeat(values, 2))
 
 
-def _risk_sweep_rows(config: ExperimentConfig):
+def _risk_sweep_rows(config: RiskTableSweep):
     # every row is this chain at its n, on the row's seed
     chain = ProcessSpec(kind=ProcessKind.AR1_PIECEWISE, n=1, burn_in=config.burn_in)
     rows = [(replace(chain, n=n, seed=row_seed(config.master_seed, n)),
@@ -101,14 +112,16 @@ def _risk_sweep_rows(config: ExperimentConfig):
             for r, (_, estimator) in zip(reports, rows)]
 
 
-def _risk_table_sweep(config: ExperimentConfig, out: Path) -> list[Path]:
+@_run.register
+def _risk_table_sweep(config: RiskTableSweep, out: Path) -> list[Path]:
     rows = _risk_sweep_rows(config)
     csv_path = emit_csv(out / "risk_table.csv",
                         ["n", "m", "mean_risk", "std_error"], rows)
     return [csv_path]
 
 
-def _risk_slope_plot(config: ExperimentConfig, out: Path) -> list[Path]:
+@_run.register
+def _risk_slope_plot(config: RiskSlopePlot, out: Path) -> list[Path]:
     rows = _risk_sweep_rows(config)
     slope = loglog_slope([(n, risk) for n, _, risk, _ in rows])
     table_path = emit_csv(out / "risk_slope_table.csv",
@@ -140,7 +153,8 @@ def _risk_slope_plot(config: ExperimentConfig, out: Path) -> list[Path]:
     return [table_path, summary_path, svg_path]
 
 
-def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
+@_run.register
+def _lsv_histogram_figure(config: LsvHistogramFigure, out: Path) -> list[Path]:
     spec = ProcessSpec(kind=ProcessKind.LSV_TRAJECTORY, n=config.n,
                        seed=config.master_seed, burn_in=config.burn_in,
                        gamma=config.gamma)
@@ -157,7 +171,8 @@ def _lsv_histogram_figure(config: ExperimentConfig, out: Path) -> list[Path]:
         curve_x, equivalent_density(curve_x, config.gamma))
 
 
-def _coefficient_report(config: ExperimentConfig, out: Path) -> list[Path]:
+@_run.register
+def _coefficient_report(config: CoefficientReport, out: Path) -> list[Path]:
     rows = []
     for k in range(1, config.k_max + 1):
         beta1 = beta1_estimate(k)
@@ -173,12 +188,3 @@ def _coefficient_report(config: ExperimentConfig, out: Path) -> list[Path]:
                          ["i", "j", "grid", "grid_lower_bound", "bound"], pair_rows)
     return [coeff_path, pair_path]
 
-
-_RUNNERS = {
-    "kernel-gaussian-figure": _kernel_gaussian_figure,
-    "histogram-two-level-figure": _histogram_two_level_figure,
-    "risk-table-sweep": _risk_table_sweep,
-    "risk-slope-plot": _risk_slope_plot,
-    "lsv-histogram-figure": _lsv_histogram_figure,
-    "coefficient-report": _coefficient_report,
-}

@@ -1,13 +1,15 @@
-from dataclasses import replace
+from dataclasses import MISSING, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betadens import KERNELS, ConfigError
-from betadens.config import (_SCHEMA, EXPERIMENTS, ExperimentConfig, load_config,
-                             parse_config, parse_n_grid, serialize_config)
+from betadens.config import (_RULES, EXPERIMENTS, MAX_GRID_POINTS, config_keys,
+                             load_config, parse_config, parse_n_grid, serialize_config)
 from betadens.csvio import emit_csv, format_float, read_csv
+from betadens.risk import MAX_WORKERS
 
 SWEEP_TEXT = """
 # comment line
@@ -41,8 +43,8 @@ _KEY_VALUES = {
     "bandwidth": st.one_of(st.just("silverman"), _POSITIVE.map(repr)),
     "m": st.integers(1, 10**4),
     "bins_constant": _POSITIVE,
-    "threads": st.integers(1, 64),
-    "grid_points": st.integers(2, 10**5),
+    "threads": st.integers(1, MAX_WORKERS),
+    "grid_points": st.integers(2, MAX_GRID_POINTS),
     "k_max": st.integers(1, 40),
     "burn_in": st.integers(0, 10**6),
     "loglog": st.booleans(),
@@ -179,14 +181,52 @@ class TestSerializeRoundTrip:
     def test_round_trip_each_experiment(self, data):
         # every experiment, each required key set and each optional key set
         # or left at its default, every value valid
-        for experiment in EXPERIMENTS:
-            required, optional = _SCHEMA[experiment]
+        for experiment, cls in EXPERIMENTS.items():
+            keys = config_keys(cls)
             valid = _SLOPE_KEY_VALUES if experiment == "risk-slope-plot" else _KEY_VALUES
             values = data.draw(st.fixed_dictionaries(
-                {key: valid[key] for key in sorted(required)},
-                optional={key: valid[key] for key in sorted(optional)}))
-            cfg = replace(ExperimentConfig(experiment=experiment), **values)
+                {key: valid[key] for key, f in keys.items() if f.default is MISSING},
+                optional={key: valid[key] for key, f in keys.items()
+                          if f.default is not MISSING}))
+            cfg = cls(**values)
             assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_every_key_has_one_range_rule_and_one_strategy():
+    # a key added to an experiment class without a range rule would skip
+    # validation, and one without a strategy the round trip above
+    keys = {}
+    for cls in EXPERIMENTS.values():
+        keys.update(config_keys(cls))
+    assert set(_RULES) == set(keys) - {"loglog"}
+    assert keys["loglog"].type is bool
+    assert set(_KEY_VALUES) == set(keys)
+
+
+def test_readme_key_table_matches_the_experiment_classes():
+    # the README's key table: one row per experiment, its required keys and
+    # its optional ones with their defaults, each in field order
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].strip("`") in EXPERIMENTS:
+            rows[cells[0].strip("`")] = cells[1:]
+
+    def optional(key, default):
+        if default is None:
+            return f"`{key}`"
+        text = str(default).lower() if isinstance(default, bool) else default
+        return f"`{key} = {text}`"
+
+    expected = {}
+    for experiment, cls in EXPERIMENTS.items():
+        keys = config_keys(cls).items()
+        required = [f"`{key}`" for key, f in keys if f.default is MISSING]
+        expected[experiment] = [", ".join(required) or "none",
+                                ", ".join(optional(key, f.default) for key, f in keys
+                                          if f.default is not MISSING)]
+    assert rows == expected
 
 
 class TestCsv:

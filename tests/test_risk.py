@@ -502,6 +502,20 @@ class TestMonteCarlo:
                 risk_rows([(self.SPEC, HistogramSpec(m=5))], two_level(), trials=trials)
         assert ran == []
 
+    def test_workers_above_the_cap_rejected_before_any_pool(self, monkeypatch):
+        # a fork pool starts every worker at its first task: 257 would fork
+        # 257 processes here, so the pool must never be built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built")
+
+        ran = []
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(risk, "_trial_risk", ran.append)
+        with pytest.raises(DomainError, match=f"MAX_WORKERS = {risk.MAX_WORKERS}, got 257"):
+            risk_rows([(self.SPEC, HistogramSpec(m=5))], two_level(), trials=600,
+                      workers=risk.MAX_WORKERS + 1)
+        assert ran == []
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     @pytest.mark.parametrize("method", sorted(_RUN_DESCENDANTS))
     def test_killed_run_leaves_no_worker(self, method):

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from betadens import ConfigError, ProcessKind, ProcessSpec, histogram_bins_lsv, risk
+from betadens import (ConfigError, ProcessKind, ProcessSpec, histogram_bins_lsv, risk,
+                      runner)
 from betadens.cli import main
-from betadens.config import (EXPERIMENTS, ExperimentConfig, load_config, parse_config,
+from betadens.config import (EXPERIMENTS, MAX_GRID_POINTS, load_config, parse_config,
                              serialize_config)
 from betadens.csvio import read_csv
 from betadens.processes import MAX_BINS
-from betadens.runner import _RUNNERS, run_experiment
+from betadens.risk import MAX_WORKERS
+from betadens.runner import run_experiment
 from betadens.svg import SvgFigure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +36,11 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 def _run(text, out):
     return run_experiment(parse_config(text), out_dir=out)
+
+
+def _build(experiment, **values):
+    """The config of `experiment` built in code, as a library caller builds one."""
+    return EXPERIMENTS[experiment](**values)
 
 
 def count_pools(monkeypatch):
@@ -133,8 +140,11 @@ class TestExperiments:
         ("risk-slope-plot", "['n_grid']"),
         ("lsv-histogram-figure", "['gamma', 'n']")])
     def test_config_built_in_code_names_missing_keys(self, tmp_path, experiment, missing):
-        with pytest.raises(ConfigError, match=re.escape(f"missing keys {missing}")):
-            run_experiment(ExperimentConfig(experiment=experiment), out_dir=tmp_path / "o")
+        # a required key is a field with no default: the class refuses to build
+        with pytest.raises(TypeError) as refused:
+            run_experiment(_build(experiment), out_dir=tmp_path / "o")
+        for key in re.findall(r"\w+", missing):
+            assert f"'{key}'" in str(refused.value)
         assert not (tmp_path / "o").exists()
 
     def test_coefficient_report(self, tmp_path):
@@ -298,6 +308,7 @@ class TestCli:
                 (["run", str(cfg), "--seed", "-1"], "master_seed"),
                 (["table", str(cfg), "--threads", "0"], "threads"),
                 (["run", str(cfg), "--threads", "-3"], "threads"),
+                (["table", str(cfg), "--threads", "257"], "MAX_WORKERS = 256"),
                 (["run", str(cfg), "--trials", "0"], "trials")):
             assert main(argv + ["--out", str(tmp_path / "override")]) == 1
             err = capsys.readouterr().err
@@ -359,10 +370,22 @@ class TestCli:
          "n_grid entries must be distinct"),
         (dict(experiment="risk-slope-plot", n_grid=(500, 500, 500)),
          "n_grid entries must be distinct"),
-        (dict(experiment="risk-slope-plot", n_grid=(500, 1000)), "at least 3 n_grid entries")])
-    def test_out_of_range_value_refused_before_any_work(self, tmp_path, capsys, values,
-                                                        named):
-        config = ExperimentConfig(**values)
+        (dict(experiment="risk-slope-plot", n_grid=(500, 1000)), "at least 3 n_grid entries"),
+        (dict(experiment="risk-table-sweep", n_grid=(500,), threads=MAX_WORKERS + 1),
+         f"threads must be >= 1 and <= MAX_WORKERS = {MAX_WORKERS}, got 257"),
+        (dict(experiment="kernel-gaussian-figure", n=50, mu=0.0, sigma2=1.0,
+              grid_points=MAX_GRID_POINTS + 1),
+         f"grid_points must be >= 2 and <= MAX_GRID_POINTS = {MAX_GRID_POINTS}, got")])
+    def test_out_of_range_value_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        values, named):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a config out of range")
+
+        config = _build(**values)
+        # no sample is drawn and no pool is built
+        monkeypatch.setattr(runner, "build_estimate", no_work)
+        monkeypatch.setattr(runner, "risk_rows", no_work)
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_work)
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=named):
             run_experiment(config, out_dir=out)
@@ -378,8 +401,7 @@ class TestCli:
         # only a config built in code can hold one: parse_n_grid refuses ''
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match=re.escape("n_grid must have at least one entry")):
-            run_experiment(ExperimentConfig(experiment=experiment, n_grid=(), trials=2),
-                           out_dir=out)
+            run_experiment(_build(experiment, n_grid=(), trials=2), out_dir=out)
         assert not out.exists()
 
     def test_config_error_type(self):
@@ -393,7 +415,6 @@ def test_shipped_configs_parse():
     for path in paths:
         config = load_config(path)
         assert parse_config(serialize_config(config)) == config
-    assert set(_RUNNERS) == set(EXPERIMENTS)
 
 
 def test_svg_limits_must_increase():
