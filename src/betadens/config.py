@@ -2,12 +2,14 @@
 
 One experiment per file; lines are `key = value`, blank lines and `#`
 comments are ignored.  An experiment is a dataclass: `experiment` names it,
-its fields are its keys, typed as what their text converts to, and a field
-with no default is required.  `parse_config` gives the pairs of a file and
-the overrides (the command-line flags) the same checks; the error for a key
-the experiment does not take lists the keys it does.  `validate_config`
-checks every config before it runs, parsed or built in code, by the one
-range rule of each key.
+its fields are its keys, typed as what their text converts to (int, float
+or str, or for `n_grid` a tuple of ints), and a field with no default is
+required.  `parse_config` gives the pairs of a file and the overrides (the
+command-line flags) the same checks; the error for a key the experiment does
+not take lists the keys it does.  `validate_config` checks every config
+before it runs, parsed or built in code, by the one range rule of each key
+and the bounds on a run's steps (MAX_STEPS) and a sweep's trials
+(MAX_TRIALS).
 """
 
 import math
@@ -18,8 +20,8 @@ from typing import ClassVar
 from .depcoeff import MAX_CLOSED_K
 from .errors import ConfigError
 from .kernels import KERNELS
-from .processes import DEFAULT_BURN_IN, MAX_BINS
-from .risk import MAX_WORKERS
+from .processes import DEFAULT_BURN_IN, MAX_BINS, MAX_STEPS
+from .risk import MAX_TRIALS, MAX_WORKERS
 
 MAX_GRID_POINTS = 2**20  # largest kernel-figure grid: 8 MB per array over it
 
@@ -67,7 +69,6 @@ class RiskTableSweep(Experiment):
 @dataclass(kw_only=True)
 class RiskSlopePlot(RiskTableSweep):
     experiment: ClassVar[str] = "risk-slope-plot"
-    loglog: bool = False
 
 
 @dataclass(kw_only=True)
@@ -99,28 +100,30 @@ def config_keys(cls: type[Experiment]) -> dict[str, Field]:
 
 
 def parse_n_grid(text: str) -> tuple[int, ...]:
-    """Either 'start:stop:step' (inclusive stop) or a comma list."""
+    """Either 'start:stop:step' (inclusive stop), of at most MAX_TRIALS
+    entries, counted before any is made, or a comma list."""
     text = text.strip()
     try:
-        if ":" in text:
-            start, stop, step = (int(part) for part in text.split(":"))
-            if step <= 0 or stop < start:
-                raise ValueError
-            return tuple(range(start, stop + 1, step))
-        return tuple(int(part) for part in text.split(","))
+        if ":" not in text:
+            return tuple(int(part) for part in text.split(","))
+        start, stop, step = (int(part) for part in text.split(":"))
+        if step <= 0 or stop < start:
+            raise ValueError
     except ValueError:
         raise ConfigError(f"cannot parse n_grid value {text!r}") from None
-
-
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    grid = range(start, stop + 1, step)
+    if len(grid) > MAX_TRIALS:
+        raise ConfigError(f"n_grid {text!r} has {len(grid)} entries, more than "
+                          f"MAX_TRIALS = {MAX_TRIALS}")
+    return tuple(grid)
 
 
 def _convert(key: Field, raw: str):
     if key.name == "n_grid":
         return parse_n_grid(raw)
     try:
-        return _BOOLS[raw.lower()] if key.type is bool else key.type(raw)
-    except (KeyError, ValueError):
+        return key.type(raw)
+    except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key.name!r}") from None
 
 
@@ -179,7 +182,7 @@ def _is_bandwidth(text):
         return False
 
 
-# key -> its range rule: the complaint about a bad value, else false; bool loglog has none
+# key -> its range rule: the complaint about a bad value, else false
 _RULES = {
     "n": lambda n: n < 1 and f"n must be >= 1, got {n}",
     "n_grid": _n_grid_complaint,
@@ -211,11 +214,26 @@ _RULES = {
 
 def validate_config(config: Experiment) -> None:
     """Raise ConfigError unless every value of `config` passes its key's
-    range rule (and a slope plot's n_grid has the 3 entries a slope needs)."""
+    range rule, a key is None only where its default is (`m`), a run takes
+    at most MAX_STEPS steps and a sweep at most MAX_TRIALS trials (and a
+    slope plot's n_grid has the 3 entries a slope needs)."""
     for f in fields(config):
-        value, rule = getattr(config, f.name), _RULES.get(f.name)
-        if value is not None and rule and (complaint := rule(value)):
+        value = getattr(config, f.name)
+        if value is None:
+            if f.default is not None:
+                raise ConfigError(f"key {f.name!r} must have a value, got None")
+        elif complaint := _RULES[f.name](value):
             raise ConfigError(complaint)
+    if isinstance(config, RiskTableSweep):
+        if len(config.n_grid) * config.trials > MAX_TRIALS:
+            raise ConfigError(f"len(n_grid) x trials must be <= MAX_TRIALS = {MAX_TRIALS}, "
+                              f"got {len(config.n_grid)} x {config.trials}")
+        longest = max(config.n_grid)
+    else:
+        longest = config.n   # None for the coefficient report, which draws no sample
+    if longest is not None and longest + config.burn_in > MAX_STEPS:
+        raise ConfigError(f"n + burn_in must be <= MAX_STEPS = {MAX_STEPS}, "
+                          f"got n = {longest}, burn_in = {config.burn_in}")
     if isinstance(config, RiskSlopePlot) and len(config.n_grid) < 3:
         raise ConfigError("risk-slope-plot fits a slope to at least 3 n_grid "
                           f"entries, got {len(config.n_grid)}")
@@ -234,7 +252,5 @@ def serialize_config(config: Experiment) -> str:
             continue
         if key == "n_grid":
             value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -7,13 +7,7 @@ from pathlib import Path
 
 
 def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int,)):
-        return str(v)
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
+    return format_float(v) if isinstance(v, float) else str(v)
 
 
 def format_float(x: float) -> str:

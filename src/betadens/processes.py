@@ -34,6 +34,9 @@ DEFAULT_BURN_IN = 1000
 _BLOCK = 8192  # values per block of lsv_blocks
 PREFIX_BITS = 12  # register bits that index the table of _prefix_bins
 MAX_BINS = 2**20  # largest bin count m: its count array takes 8 MB
+# most steps n + burn_in of one process: `generate` peaks near 55 bytes a
+# step, so under 1 GB, and a chain's bit stream is made in one array
+MAX_STEPS = 2**24
 
 
 class ProcessKind(enum.Enum):
@@ -62,6 +65,9 @@ class ProcessSpec:
             raise DomainError(f"sample length must be >= 1, got {self.n}")
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
+        if self.n + self.burn_in > MAX_STEPS:
+            raise CapacityError(f"n + burn_in = {self.n + self.burn_in} steps exceed the "
+                                f"bound MAX_STEPS = {MAX_STEPS}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if (self.kind is ProcessKind.LSV_TRAJECTORY) != (self.gamma is not None):

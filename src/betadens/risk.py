@@ -39,6 +39,9 @@ _MAX_QUAD_PANELS = 2048
 _SEED_MIX = 0x9E3779B97F4A7C15  # per-row seed separation for n-sweeps
 # most pool workers: a fork pool starts all of its workers at the first task
 MAX_WORKERS = 256
+# most trials of one risk_rows call, rows x trials: its task list, built
+# before any pool, takes about 285 bytes a task, so 75 MB
+MAX_TRIALS = 2**18
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's mallopt(3) parameters
 
 
@@ -223,14 +226,18 @@ def risk_rows(rows, reference: ReferenceDensity, trials: int = 300, p: float = 1
     every row go through one map in row then trial order, on no more workers
     than there are trials, and each row is reduced from its own slice, so the
     reports do not depend on `workers`.
-    A bad trial count or exponent, or more than MAX_WORKERS workers, raises
-    DomainError before any trial runs or any pool starts.
+    A bad trial count or exponent, more than MAX_TRIALS trials over all
+    rows, or more than MAX_WORKERS workers, raises DomainError before any
+    task is built or any pool starts.
     A failing trial raises TrialError naming it and its seed; a pool whose
     worker dies, or never starts, raises one saying that the pool broke and
     naming the first trial left without a value.
     """
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
+    if len(rows) * trials > MAX_TRIALS:
+        raise DomainError(f"{len(rows)} rows x {trials} trials exceed the bound "
+                          f"MAX_TRIALS = {MAX_TRIALS}")
     if workers > MAX_WORKERS:
         raise DomainError(f"workers must be <= MAX_WORKERS = {MAX_WORKERS}, got {workers}")
     _check_exponent(p)

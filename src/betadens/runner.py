@@ -134,21 +134,15 @@ def _risk_slope_plot(config: RiskSlopePlot, out: Path) -> list[Path]:
     # reference curve c * n^(-1/3), c fitted so the curve passes the data cloud
     c = float(np.exp(np.mean(np.log(risks) + np.log(ns) / 3.0)))
     ref_curve = c * ns ** (-1.0 / 3.0)
-    fig = SvgFigure(title=f"L1 risk vs n (slope {slope:.3f})",
-                    xlabel="log10 n" if config.loglog else "n",
-                    ylabel="log10 risk" if config.loglog else "risk")
-    if config.loglog:
-        xs, ys, yr = np.log10(ns), np.log10(risks), np.log10(ref_curve)
-    else:
-        xs, ys, yr = ns, risks, ref_curve
-    pad_x = 0.03 * (xs.max() - xs.min())
-    lo_y = min(ys.min(), yr.min())
-    hi_y = max(ys.max(), yr.max())
+    fig = SvgFigure(title=f"L1 risk vs n (slope {slope:.3f})", xlabel="n", ylabel="risk")
+    pad_x = 0.03 * (ns.max() - ns.min())
+    lo_y = min(risks.min(), ref_curve.min())
+    hi_y = max(risks.max(), ref_curve.max())
     pad_y = 0.08 * (hi_y - lo_y)
-    fig.set_limits((xs.min() - pad_x, xs.max() + pad_x),
+    fig.set_limits((ns.min() - pad_x, ns.max() + pad_x),
                    (lo_y - pad_y, hi_y + pad_y))
-    fig.add_curve(xs, yr, stroke="#cc0000", width=1.4)
-    fig.add_points(xs, ys)
+    fig.add_curve(ns, ref_curve, stroke="#cc0000", width=1.4)
+    fig.add_points(ns, risks)
     svg_path = fig.save(out / "risk_slope.svg")
     return [table_path, summary_path, svg_path]
 

@@ -9,7 +9,8 @@ from betadens import KERNELS, ConfigError
 from betadens.config import (_RULES, EXPERIMENTS, MAX_GRID_POINTS, config_keys,
                              load_config, parse_config, parse_n_grid, serialize_config)
 from betadens.csvio import emit_csv, format_float, read_csv
-from betadens.risk import MAX_WORKERS
+from betadens.processes import MAX_STEPS
+from betadens.risk import MAX_TRIALS, MAX_WORKERS
 
 SWEEP_TEXT = """
 # comment line
@@ -22,18 +23,23 @@ threads = 8
 """
 
 
+# n + burn_in, for a sweep with its largest n, stays within MAX_STEPS, and
+# len(n_grid) x trials within MAX_TRIALS
+_MAX_BURN_IN, _MAX_GRID_LEN = 10**6, 25
+_NS = st.integers(1, MAX_STEPS - _MAX_BURN_IN)
+
+
 def _n_grids(min_size):
-    return st.lists(st.integers(1, 10**8), min_size=min_size, max_size=25,
-                    unique=True).map(tuple)
+    return st.lists(_NS, min_size=min_size, max_size=_MAX_GRID_LEN, unique=True).map(tuple)
 
 
 _FINITE = dict(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(0.0, exclude_min=True, **_FINITE)
 # a valid value for every config key
 _KEY_VALUES = {
-    "n": st.integers(1, 10**8),
+    "n": _NS,
     "n_grid": _n_grids(1),
-    "trials": st.integers(1, 10**4),
+    "trials": st.integers(1, MAX_TRIALS // _MAX_GRID_LEN),
     "master_seed": st.integers(0, 2**64 - 1),
     "p": st.floats(1.0, **_FINITE),
     "gamma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -46,8 +52,7 @@ _KEY_VALUES = {
     "threads": st.integers(1, MAX_WORKERS),
     "grid_points": st.integers(2, MAX_GRID_POINTS),
     "k_max": st.integers(1, 40),
-    "burn_in": st.integers(0, 10**6),
-    "loglog": st.booleans(),
+    "burn_in": st.integers(0, _MAX_BURN_IN),
 }
 # risk-slope-plot fits a line, so its grid needs at least three sizes
 _SLOPE_KEY_VALUES = {**_KEY_VALUES, "n_grid": _n_grids(3)}
@@ -60,6 +65,13 @@ class TestParse:
         assert cfg.n_grid[0] == 5000 and cfg.n_grid[-1] == 110000
         assert len(cfg.n_grid) == 22
         assert cfg.trials == 300 and cfg.master_seed == 42 and cfg.threads == 8
+
+    def test_n_grid_range_above_the_cap_refused_before_it_is_made(self):
+        # a range is counted before its tuple is made, so one of 10^15
+        # entries is refused at once instead of exhausting memory
+        with pytest.raises(ConfigError, match=f"has {MAX_TRIALS + 1} entries, more than "
+                                              f"MAX_TRIALS = {MAX_TRIALS}"):
+            parse_n_grid(f"1:{MAX_TRIALS + 1}:1")
 
     def test_n_grid_comma_form(self):
         assert parse_n_grid("10,20,30") == (10, 20, 30)
@@ -198,9 +210,17 @@ def test_every_key_has_one_range_rule_and_one_strategy():
     keys = {}
     for cls in EXPERIMENTS.values():
         keys.update(config_keys(cls))
-    assert set(_RULES) == set(keys) - {"loglog"}
-    assert keys["loglog"].type is bool
+    assert set(_RULES) == set(keys)
     assert set(_KEY_VALUES) == set(keys)
+
+
+def test_every_key_converts_from_text_by_its_type():
+    # the grammar has four value types: int, float and str convert a key's
+    # text by calling the type, and n_grid has its own parser; a bool key
+    # would read "false" as bool("false"), which is True
+    for cls in EXPERIMENTS.values():
+        for key, f in config_keys(cls).items():
+            assert key == "n_grid" or f.type in (int, float, str), (cls.experiment, key)
 
 
 def test_readme_key_table_matches_the_experiment_classes():
@@ -214,10 +234,7 @@ def test_readme_key_table_matches_the_experiment_classes():
             rows[cells[0].strip("`")] = cells[1:]
 
     def optional(key, default):
-        if default is None:
-            return f"`{key}`"
-        text = str(default).lower() if isinstance(default, bool) else default
-        return f"`{key} = {text}`"
+        return f"`{key}`" if default is None else f"`{key} = {default}`"
 
     expected = {}
     for experiment, cls in EXPERIMENTS.items():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from betadens import (CapacityError, DomainError, ProcessKind, ProcessSpec, ar1_
                       gaussian, gaussian_quantile_transform, generate, lsv_step,
                       lsv_trajectory, piecewise_quantile_transform, two_level, uniform01)
 from betadens import processes
-from betadens.processes import (_BLOCK, MAX_BINS, PREFIX_BITS, _rng, bin_counts, bin_index,
-                                lsv_blocks, register_values)
+from betadens.processes import (_BLOCK, MAX_BINS, MAX_STEPS, PREFIX_BITS, _rng, bin_counts,
+                                bin_index, lsv_blocks, register_values)
 
 
 def two_level_quantile_oracle(u):
@@ -408,6 +409,21 @@ class TestBinCountCap:
         got = bin_counts(spec, MAX_BINS)
         assert len(got) == MAX_BINS and got.sum() == spec.n
         assert np.array_equal(got, want[1:MAX_BINS + 1])
+
+
+class TestStepCap:
+    @pytest.mark.parametrize("spec", CAP_SPECS, ids=lambda s: s.kind.value)
+    def test_refused_above_the_cap_before_any_value(self, spec, monkeypatch):
+        # n + burn_in = MAX_STEPS + 1 fails the spec itself, so no chain bit
+        # stream and no map block is ever made
+        def making(*args):
+            raise AssertionError("a value was made")
+
+        for name in ("lsv_blocks", "_windows16"):
+            monkeypatch.setattr(processes, name, making)
+        for n, burn_in in ((MAX_STEPS + 1, 0), (MAX_STEPS + 1 - spec.burn_in, spec.burn_in)):
+            with pytest.raises(CapacityError, match=f"MAX_STEPS = {MAX_STEPS}"):
+                replace(spec, n=n, burn_in=burn_in)
 
 
 class TestSpecValidation:

@@ -516,6 +516,21 @@ class TestMonteCarlo:
                       workers=risk.MAX_WORKERS + 1)
         assert ran == []
 
+    def test_trials_above_the_cap_rejected_before_any_task(self, monkeypatch):
+        # rows x trials = 5 x 52,429 = MAX_TRIALS + 1: no task tuple is built,
+        # no trial runs and no pool starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started above MAX_TRIALS")
+
+        rows = [(replace(self.SPEC, n=n), HistogramSpec(m=5)) for n in range(100, 600, 100)]
+        monkeypatch.setattr(risk, "replace", no_work)
+        monkeypatch.setattr(risk, "_trial_risk", no_work)
+        monkeypatch.setattr(risk, "ProcessPoolExecutor", no_work)
+        assert len(rows) * 52429 == risk.MAX_TRIALS + 1
+        with pytest.raises(DomainError, match=f"5 rows x 52429 trials exceed the bound "
+                                              f"MAX_TRIALS = {risk.MAX_TRIALS}"):
+            risk_rows(rows, two_level(), trials=52429, workers=2)
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     @pytest.mark.parametrize("method", sorted(_RUN_DESCENDANTS))
     def test_killed_run_leaves_no_worker(self, method):

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from betadens import (ConfigError, ProcessKind, ProcessSpec, histogram_bins_lsv, risk,
-                      runner)
+from betadens import (ConfigError, ProcessKind, ProcessSpec, histogram_bins_lsv, processes,
+                      risk, runner)
 from betadens.cli import main
 from betadens.config import (EXPERIMENTS, MAX_GRID_POINTS, load_config, parse_config,
                              serialize_config)
 from betadens.csvio import read_csv
-from betadens.processes import MAX_BINS
-from betadens.risk import MAX_WORKERS
+from betadens.processes import MAX_BINS, MAX_STEPS
+from betadens.risk import MAX_TRIALS, MAX_WORKERS
 from betadens.runner import run_experiment
 from betadens.svg import SvgFigure
 
@@ -112,26 +112,23 @@ class TestExperiments:
         _assert_valid_svg(files[1])
 
     def test_risk_slope_plot_outputs(self, tmp_path):
-        # loglog changes only the figure's axes, never the tables
-        tables = {}
-        for loglog, labels in ((True, ("log10 n", "log10 risk")), (False, ("n", "risk"))):
-            files = _run("experiment = risk-slope-plot\nn_grid = 500,1500,4000,9000\n"
-                         f"trials = 3\nmaster_seed = 11\nloglog = {loglog}\n",
-                         tmp_path / str(loglog))
-            by_name = {p.name: p for p in files}
-            assert sorted(by_name) == ["risk_slope.svg", "risk_slope_summary.csv",
-                                       "risk_slope_table.csv"]
-            _, summary = read_csv(by_name["risk_slope_summary.csv"])
-            slope = float(summary[0][0])
-            assert -1.0 < slope < 0.1
-            # the axis labels are the two 12-point texts, the y one rotated
-            texts = [t for t in ET.parse(by_name["risk_slope.svg"]).getroot().iter()
-                     if t.tag.endswith("text") and t.get("font-size") == "12"]
-            assert [t.text for t in texts] == list(labels)
-            assert "transform" in texts[1].attrib
-            tables[loglog] = [by_name[name].read_bytes() for name in
-                              ("risk_slope_table.csv", "risk_slope_summary.csv")]
-        assert tables[True] == tables[False]
+        keys = "n_grid = 500,1500,4000,9000\ntrials = 3\nmaster_seed = 11\n"
+        files = _run(f"experiment = risk-slope-plot\n{keys}", tmp_path / "slope")
+        by_name = {p.name: p for p in files}
+        assert sorted(by_name) == ["risk_slope.svg", "risk_slope_summary.csv",
+                                   "risk_slope_table.csv"]
+        _, summary = read_csv(by_name["risk_slope_summary.csv"])
+        slope = float(summary[0][0])
+        assert -1.0 < slope < 0.1
+        # the axis labels are the two 12-point texts, the y one rotated: the
+        # figure plots risk against n on linear axes
+        texts = [t for t in ET.parse(by_name["risk_slope.svg"]).getroot().iter()
+                 if t.tag.endswith("text") and t.get("font-size") == "12"]
+        assert [t.text for t in texts] == ["n", "risk"]
+        assert "transform" in texts[1].attrib
+        # its table is the sweep's table on the same keys, byte for byte
+        (sweep,) = _run(f"experiment = risk-table-sweep\n{keys}", tmp_path / "sweep")
+        assert by_name["risk_slope_table.csv"].read_bytes() == sweep.read_bytes()
 
     @pytest.mark.parametrize("experiment, missing", [
         ("kernel-gaussian-figure", "['mu', 'n', 'sigma2']"),
@@ -375,25 +372,54 @@ class TestCli:
          f"threads must be >= 1 and <= MAX_WORKERS = {MAX_WORKERS}, got 257"),
         (dict(experiment="kernel-gaussian-figure", n=50, mu=0.0, sigma2=1.0,
               grid_points=MAX_GRID_POINTS + 1),
-         f"grid_points must be >= 2 and <= MAX_GRID_POINTS = {MAX_GRID_POINTS}, got")])
+         f"grid_points must be >= 2 and <= MAX_GRID_POINTS = {MAX_GRID_POINTS}, got"),
+        # n + burn_in = MAX_STEPS + 1, for each experiment that draws a sample
+        (dict(experiment="histogram-two-level-figure", n=MAX_STEPS, burn_in=1),
+         f"n + burn_in must be <= MAX_STEPS = {MAX_STEPS}, got n = {MAX_STEPS}, burn_in = 1"),
+        (dict(experiment="lsv-histogram-figure", n=1, gamma=0.5, burn_in=MAX_STEPS),
+         f"n + burn_in must be <= MAX_STEPS = {MAX_STEPS}, got n = 1"),
+        (dict(experiment="kernel-gaussian-figure", n=MAX_STEPS - 999, mu=0.0, sigma2=1.0),
+         f"n + burn_in must be <= MAX_STEPS = {MAX_STEPS}, got n = {MAX_STEPS - 999}"),
+        (dict(experiment="risk-table-sweep", n_grid=(500, MAX_STEPS, 1000), burn_in=1),
+         f"n + burn_in must be <= MAX_STEPS = {MAX_STEPS}, got n = {MAX_STEPS}"),
+        # len(n_grid) x trials = 5 x 52,429 = MAX_TRIALS + 1, for both sweeps
+        (dict(experiment="risk-table-sweep", n_grid=(100, 200, 300, 400, 500), trials=52429),
+         f"len(n_grid) x trials must be <= MAX_TRIALS = {MAX_TRIALS}, got 5 x 52429"),
+        (dict(experiment="risk-slope-plot", n_grid=(100, 200, 300, 400, 500), trials=52429),
+         f"len(n_grid) x trials must be <= MAX_TRIALS = {MAX_TRIALS}, got 5 x 52429")])
     def test_out_of_range_value_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         values, named):
         def no_work(*args, **kwargs):
             raise AssertionError("work started on a config out of range")
 
         config = _build(**values)
-        # no sample is drawn and no pool is built
+        # no sample is drawn, no chain bit stream or map block is made and
+        # no pool is built
         monkeypatch.setattr(runner, "build_estimate", no_work)
         monkeypatch.setattr(runner, "risk_rows", no_work)
         monkeypatch.setattr(risk, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(processes, "_windows16", no_work)
+        monkeypatch.setattr(processes, "lsv_blocks", no_work)
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match=named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             run_experiment(config, out_dir=out)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(serialize_config(config))
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_required_key_set_to_none_refused_before_any_work(self, tmp_path, monkeypatch):
+        # only a config built in code can hold None; m, whose default is
+        # None, means the schedule's m, but n has no default to stand in
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a config with no n")
+
+        monkeypatch.setattr(runner, "build_estimate", no_work)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="key 'n' must have a value, got None"):
+            run_experiment(_build("histogram-two-level-figure", n=None), out_dir=out)
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["risk-table-sweep", "risk-slope-plot"])
